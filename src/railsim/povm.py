@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import PureState, project_mode
+from .stats import trapezoid_cdf
 
 GRID_X_MIN = -8.0
 GRID_X_MAX = 8.0
@@ -145,12 +146,10 @@ def photon_count(state: PureState, modes, rng: np.random.Generator) -> Measureme
             counts = key
             break
     posterior = state
-    weight = 1.0
     for m, c in sorted(zip(modes, counts), reverse=True):
         bra = [0.0] * (posterior.n_max + 1)
         bra[c] = 1.0
-        w, posterior = project_mode(posterior, m, bra)
-        weight *= w
+        _, posterior = project_mode(posterior, m, bra)
     return MeasurementOutcome(kind="count", value=counts, posterior=posterior,
                               density=probs[counts])
 
@@ -188,9 +187,7 @@ def homodyne_cdf(state: PureState, mode: int, phi: float = 0.0,
     if grid is None:
         grid = make_grid(state.n_max)
     grid_x, density = homodyne_density(state, mode, phi, grid)
-    cdf = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * grid.dx)))
-    return grid_x, density, cdf
+    return grid_x, density, trapezoid_cdf(density, grid.dx)
 
 
 def homodyne_sample(state: PureState, mode: int, phi: float,

@@ -463,12 +463,11 @@ def integrated_quadrature_check(state: PureState, mode: int, pulse: PulseShape,
     """KS distance between integrated-current samples and the analytic
     homodyne density of the same state at LO phase ``phi``."""
     from .povm import homodyne_density
-    from .stats import ks_statistic
+    from .stats import ks_statistic, trapezoid_cdf
 
     result = run_dyne_ensemble(state, mode, pulse, FeedbackPolicy.homodyne(phi),
                                master_seed, n_trials, threads=threads)
     grid_x, pdf = homodyne_density(state, mode, phi)
-    dx = grid_x[1] - grid_x[0]
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))
+    cdf = trapezoid_cdf(pdf, grid_x[1] - grid_x[0])
     cdf /= cdf[-1]
     return ks_statistic(result.x, lambda v: np.interp(v, grid_x, cdf))

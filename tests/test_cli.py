@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import railsim
+from railsim import cli
 from railsim.cli import (ConfigError, main, named_state, parse_input_qubit,
                          parse_policy, parse_unitary)
 from railsim.optics import HADAMARD
@@ -295,7 +296,7 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
     capsys.readouterr()
 
 
-# ---- reproducibility across worker counts ----
+# ---- reproducibility across worker counts and chunk sizes ----
 
 def _child_env(**extra):
     """Environment for a child interpreter that imports this ``railsim``.
@@ -327,6 +328,32 @@ def test_outputs_identical_across_worker_counts(tmp_path):
     assert blobs[1] == blobs[3]
 
 
+def test_trajectory_outputs_identical_across_worker_counts_on_the_pool(tmp_path):
+    # n=1100 is two runner.DEFAULT_CHUNK chunks, so --threads 2 forks
+    base = ["trajectory", "--state", "plus-split", "--dt", "1e-3",
+            "--n", "1100", "--seed", "5"]
+    blobs = {}
+    for threads in (1, 2):
+        jsonl = tmp_path / f"t{threads}.jsonl"
+        out = _run_cli(base + ["--threads", str(threads), "--jsonl", str(jsonl)],
+                       threads, str(tmp_path))
+        blobs[threads] = (out, jsonl.read_bytes())
+    assert blobs[1] == blobs[2]
+
+
+def test_sample_outputs_identical_across_chunk_sizes(capsys, tmp_path,
+                                                     monkeypatch):
+    blobs = {}
+    for chunk in (64, 4096):
+        monkeypatch.setattr(cli, "SAMPLE_CHUNK", chunk)
+        jsonl = tmp_path / f"c{chunk}.jsonl"
+        rc = main(["sample", "apm", "--state", "plus-split", "--n", "5000",
+                   "--seed", "8", "--jsonl", str(jsonl)])
+        assert rc == 0
+        blobs[chunk] = (capsys.readouterr().out, jsonl.read_bytes())
+    assert blobs[64] == blobs[4096]
+
+
 def test_protocol_outputs_identical_across_worker_counts(tmp_path):
     base = ["gate", "--u", "hadamard", "--input", "qubit:0.6,1.0",
             "--n", "600", "--seed", "11"]
@@ -336,6 +363,17 @@ def test_protocol_outputs_identical_across_worker_counts(tmp_path):
         out = _run_cli(base + ["--jsonl", str(jsonl)], threads, str(tmp_path))
         blobs[threads] = (out, jsonl.read_bytes())
     assert blobs[1] == blobs[4]
+
+
+def test_cli_import_does_not_load_scipy():
+    # a child process: this one has scipy loaded by the test suite
+    probe = ("import sys, railsim, railsim.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_runs():

@@ -168,6 +168,18 @@ def test_ensemble_is_reproducible_and_batch_invariant():
     assert np.array_equal(a.fidelity, b.fidelity)
 
 
+def test_ensemble_is_bit_identical_across_chunk_sizes():
+    # n=1100 spans two default chunks, so the 1024 layout is split unevenly
+    p = make_pulse("flat", dt=1e-3)
+    runs = [run_dyne_ensemble(split_photon(), 0, p, FeedbackPolicy.adaptive(),
+                              master_seed=21, n_trials=1100,
+                              want_fidelity=True, chunk_size=size)
+            for size in (7, 1024, 1100)]
+    for res in runs[1:]:
+        for field in ("theta", "x", "residual_weight", "fidelity"):
+            assert np.array_equal(getattr(res, field), getattr(runs[0], field))
+
+
 def test_single_trajectory_equals_ensemble_lane():
     p = make_pulse("flat", dt=1e-3)
     ens = run_dyne_ensemble(split_photon(), 0, p, FeedbackPolicy.adaptive(),
