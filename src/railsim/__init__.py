@@ -14,9 +14,8 @@ from .protocols import (AnalyticBackend, BsmOutcome, GateOutcome, PrepSpec,
                         TrajectoryBackend, apply_single_rail_unitary,
                         bell_measurement_single_rail, dual_to_single,
                         homodyne_prep_comparison, hybrid_bell,
-                        logical_target_fidelity, make_backend, prepare_arbitrary,
-                        prepare_plus, qubit_state, run_protocol_trial,
-                        teleport_single_to_dual)
+                        logical_target_fidelity, prepare_arbitrary, prepare_plus,
+                        qubit_state, run_protocol_trial, teleport_single_to_dual)
 from .runner import trial_rng, worker_count
 from .trajectory import (EnsembleResult, FeedbackPolicy, PulseShape,
                          TrajectoryDivergedError, TrajectoryRecord,
@@ -40,7 +39,7 @@ __all__ = [
     "TrajectoryBackend", "apply_single_rail_unitary",
     "bell_measurement_single_rail", "dual_to_single",
     "homodyne_prep_comparison", "hybrid_bell", "logical_target_fidelity",
-    "make_backend", "prepare_arbitrary", "prepare_plus", "qubit_state",
+    "prepare_arbitrary", "prepare_plus", "qubit_state",
     "run_protocol_trial", "teleport_single_to_dual",
     "trial_rng", "worker_count",
     "EnsembleResult", "FeedbackPolicy", "PulseShape",

@@ -4,8 +4,9 @@ Runs are configured by flags, optionally seeded from a JSON file given
 with --config (flags override the file).  Trial i draws its randomness
 from (master seed, i), so per-trial records are byte-identical no
 matter how many workers run them.  Each command prints a summary JSON
-on standard output that validates against schemas/summary.json; per
-trial records go to --jsonl as one JSON object per line.
+on standard output that validates against the packaged
+schemas/summary.json; per-trial records go to --jsonl as one JSON
+object per line.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 runtime
 error.
@@ -29,7 +30,8 @@ from .optics import (BeamsplitterSpec, HADAMARD, IDENTITY, PAULI_X, PAULI_Z,
                      beamsplitter, dual_rail_bell, single_rail_bell)
 from .povm import (OverOccupiedError, apm_density, apm_sample, homodyne_cdf,
                    photon_count)
-from .protocols import PrepSpec, run_protocol_trial
+from .protocols import (AnalyticBackend, PrepSpec, TrajectoryBackend,
+                        run_protocol_trial)
 from .runner import chunk_ranges, map_chunks, trial_rng, worker_count
 from .stats import chi2_gof_pvalue, ks_statistic
 from .trajectory import (FeedbackPolicy, TrajectoryDivergedError, make_pulse,
@@ -69,23 +71,18 @@ def named_state(name: str):
     if key == "bell-dual":
         return dual_rail_bell(), key
     if key.startswith("qubit:"):
-        alpha, phi = _two_floats(key[len("qubit:"):])
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"qubit amplitude must lie in [0, 1], got {alpha}")
-        beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-        c1 = beta * complex(math.cos(phi), -math.sin(phi))
-        return PureState(1, {(0,): alpha, (1,): c1}).normalized(), key
+        return _qubit_spec(*key[len("qubit:"):].split(",")).target().normalized(), key
     raise ConfigError(f"unknown state {name!r}")
 
 
-def _two_floats(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"expected two comma-separated numbers, got {text!r}")
+def _qubit_spec(*fields) -> PrepSpec:
+    """PrepSpec from alpha and phi, given as numbers or numeric strings."""
     try:
-        return float(parts[0]), float(parts[1])
+        alpha, phi = map(float, fields)
+        return PrepSpec(alpha=alpha, phi=phi)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"bad alpha,phi {','.join(map(str, fields))!r}: "
+                          f"{exc}") from None
 
 
 def parse_input_qubit(spec: str):
@@ -97,11 +94,7 @@ def parse_input_qubit(spec: str):
     if key in table:
         return tuple(complex(c) for c in table[key])
     if key.startswith("qubit:"):
-        alpha, phi = _two_floats(key[len("qubit:"):])
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"qubit amplitude must lie in [0, 1], got {alpha}")
-        beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-        return complex(alpha), beta * complex(math.cos(phi), -math.sin(phi))
+        return _qubit_spec(*key[len("qubit:"):].split(",")).amplitudes()
     raise ConfigError(f"unknown input qubit {spec!r}")
 
 
@@ -215,9 +208,9 @@ def _count_chunk(bounds, state, modes, seed):
     return out
 
 
-def _protocol_chunk(bounds, protocol, params, seed):
+def _protocol_chunk(bounds, protocol, backend, seed, **target):
     start, stop = bounds
-    return [run_protocol_trial(protocol, params, seed, i)
+    return [run_protocol_trial(protocol, backend, seed, i, **target)
             for i in range(start, stop)]
 
 
@@ -335,23 +328,27 @@ def cmd_sample(args):
     return run_homodyne
 
 
+def _protocol_backend(args, config):
+    """Measurement backend of a prep or gate run; records it in config."""
+    config["backend"] = args.backend
+    if args.backend == "analytic":
+        return AnalyticBackend()
+    pulse = make_pulse(args.pulse, dt=float(args.dt))
+    config.update({"dt": pulse.dt, "pulse": pulse.kind})
+    return TrajectoryBackend(pulse)
+
+
 def cmd_prep(args):
     if args.alpha is None:
         raise ConfigError("prep requires --alpha")
-    spec = PrepSpec(alpha=float(args.alpha), phi=float(args.phi))
+    spec = _qubit_spec(args.alpha, args.phi)
     n, seed, threads = _common_ints(args)
-    backend = args.backend
-    params = {"alpha": spec.alpha, "phi": spec.phi, "backend": backend}
-    config = {"alpha": spec.alpha, "phi": spec.phi, "backend": backend,
-              "n": n, "seed": seed}
-    if backend == "trajectory":
-        pulse = make_pulse(args.pulse, dt=float(args.dt))
-        params.update({"dt": pulse.dt, "pulse": pulse.kind})
-        config.update({"dt": pulse.dt, "pulse": pulse.kind})
+    config = {"alpha": spec.alpha, "phi": spec.phi, "n": n, "seed": seed}
+    backend = _protocol_backend(args, config)
 
     def run():
         records = _run_chunked(partial(_protocol_chunk, protocol="prepare",
-                                       params=params, seed=seed),
+                                       backend=backend, seed=seed, spec=spec),
                                n, threads, PROTOCOL_CHUNK)
         _write_jsonl(args.jsonl, records)
         fids = [r["fidelity"] for r in records]
@@ -368,20 +365,14 @@ def cmd_gate(args):
     u = parse_unitary(args.u)
     c0, c1 = parse_input_qubit(args.input)
     n, seed, threads = _common_ints(args)
-    backend = args.backend
-    params = {"input": [[c0.real, c0.imag], [c1.real, c1.imag]],
-              "u": [[[z.real, z.imag] for z in row] for row in u],
-              "backend": backend}
     config = {"u": args.u.strip().lower(), "input": args.input.strip().lower(),
-              "backend": backend, "n": n, "seed": seed}
-    if backend == "trajectory":
-        pulse = make_pulse(args.pulse, dt=float(args.dt))
-        params.update({"dt": pulse.dt, "pulse": pulse.kind})
-        config.update({"dt": pulse.dt, "pulse": pulse.kind})
+              "n": n, "seed": seed}
+    backend = _protocol_backend(args, config)
 
     def run():
         records = _run_chunked(partial(_protocol_chunk, protocol="gate",
-                                       params=params, seed=seed),
+                                       backend=backend, seed=seed,
+                                       qubit=(c0, c1), u=u),
                                n, threads, PROTOCOL_CHUNK)
         _write_jsonl(args.jsonl, records)
         succ = [r for r in records if r["success"]]
@@ -538,11 +529,24 @@ def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
             raise ConfigError(f"bad config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    known = {a.dest for a in sub._actions}
-    unknown = sorted(set(raw) - known)
+    actions = {a.dest: a for a in sub._actions}
+    unknown = sorted(set(raw) - set(actions))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    return raw
+    return {key: _config_value(actions[key], value) for key, value in raw.items()}
+
+
+def _config_value(action: argparse.Action, value):
+    """Convert and check a config-file value as argparse would the flag."""
+    try:
+        if action.type is None and not isinstance(value, str):
+            raise ValueError(f"expected a string, got {value!r}")
+        value = value if action.type is None else action.type(str(value))
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{value!r} is not one of {list(action.choices)}")
+    except ValueError as exc:
+        raise ConfigError(f"config key {action.dest!r}: {exc}") from None
+    return value
 
 
 HANDLERS = {"sample": cmd_sample, "prep": cmd_prep, "gate": cmd_gate,

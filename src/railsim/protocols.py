@@ -25,11 +25,10 @@ import numpy as np
 from .fock import PureState, apply_phase, fidelity, single_photon, tensor
 from .optics import (BeamsplitterSpec, DualRailQubit, SingleRailQubit,
                      beamsplitter, dual_rail_bell, dual_rail_unitary)
-from .povm import (MeasurementOutcome, OverOccupiedError, QuadratureGrid,
-                   apm_density, apm_sample, homodyne_density, homodyne_sample,
-                   photon_count)
+from .povm import (MeasurementOutcome, OverOccupiedError, apm_density,
+                   apm_sample, homodyne_sample, photon_count)
 from .runner import trial_rng
-from .trajectory import FeedbackPolicy, PulseShape, make_pulse, simulate_dyne
+from .trajectory import FeedbackPolicy, PulseShape, simulate_dyne
 
 
 @dataclass(frozen=True)
@@ -43,23 +42,22 @@ class PrepSpec:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
+    def amplitudes(self) -> tuple:
+        """Logical amplitudes (c0, c1) of the target."""
+        beta = math.sqrt(max(0.0, 1.0 - self.alpha * self.alpha))
+        return (complex(self.alpha),
+                beta * complex(math.cos(self.phi), -math.sin(self.phi)))
+
     def target(self) -> PureState:
-        beta = math.sqrt(max(0.0, 1.0 - self.alpha ** 2))
-        c1 = beta * complex(math.cos(self.phi), -math.sin(self.phi))
-        return PureState(1, {(0,): self.alpha, (1,): c1})
+        c0, c1 = self.amplitudes()
+        return PureState(1, {(0,): c0, (1,): c1})
 
 
-@dataclass
 class AnalyticBackend:
     """Measurements sampled from their exact outcome distributions."""
 
-    grid: QuadratureGrid | None = None
-
     def apm(self, state: PureState, mode: int, rng) -> MeasurementOutcome:
         return apm_sample(state, mode, rng)
-
-    def homodyne(self, state: PureState, mode: int, phi: float, rng) -> MeasurementOutcome:
-        return homodyne_sample(state, mode, phi, rng, self.grid)
 
 
 @dataclass
@@ -67,40 +65,17 @@ class TrajectoryBackend:
     """Measurements realized by simulated dyne trajectories."""
 
     pulse: PulseShape
-    loop_delay: float = 0.0
 
     def apm(self, state: PureState, mode: int, rng) -> MeasurementOutcome:
         # The trajectory realizes the phase POVM only on the <=1 photon
         # subspace; enforce the same precondition as the analytic path.
         dens = apm_density(state, mode)
-        policy = FeedbackPolicy.adaptive(loop_delay=self.loop_delay)
-        record, posterior = simulate_dyne(state, mode, self.pulse, policy, rng,
+        record, posterior = simulate_dyne(state, mode, self.pulse,
+                                          FeedbackPolicy.adaptive(), rng,
                                           keep_series=False)
         return MeasurementOutcome(kind="apm", value=record.theta,
                                   posterior=posterior,
                                   density=float(dens(record.theta)))
-
-    def homodyne(self, state: PureState, mode: int, phi: float, rng) -> MeasurementOutcome:
-        policy = FeedbackPolicy.homodyne(phi)
-        record, posterior = simulate_dyne(state, mode, self.pulse, policy, rng,
-                                          keep_series=False)
-        grid_x, pdf = homodyne_density(state, mode, phi)
-        return MeasurementOutcome(kind="homodyne", value=record.x,
-                                  posterior=posterior,
-                                  density=float(np.interp(record.x, grid_x, pdf)),
-                                  lo_phase=phi)
-
-
-def make_backend(name: str, dt: float = 1e-4, pulse_shape: str = "flat",
-                 loop_delay: float = 0.0):
-    """Backend factory for the CLI and tests."""
-    name = name.strip().lower()
-    if name == "analytic":
-        return AnalyticBackend()
-    if name == "trajectory":
-        return TrajectoryBackend(pulse=make_pulse(pulse_shape, dt=dt),
-                                 loop_delay=loop_delay)
-    raise ValueError(f"unknown backend {name!r}")
 
 
 class _RecordingBackend:
@@ -114,9 +89,6 @@ class _RecordingBackend:
         out = self.inner.apm(state, mode, rng)
         self.theta_values.append(float(out.value))
         return out
-
-    def homodyne(self, state, mode, phi, rng):
-        return self.inner.homodyne(state, mode, phi, rng)
 
 
 def prepare_plus(backend, rng) -> PureState:
@@ -143,7 +115,7 @@ def prepare_arbitrary(spec: PrepSpec, backend, rng) -> PureState:
     return apply_phase(out.posterior, 0, -(out.value + spec.phi))
 
 
-def homodyne_prep_comparison(rng, grid: QuadratureGrid | None = None):
+def homodyne_prep_comparison(rng):
     """Split a photon and homodyne one arm instead of phase-measuring it.
 
     Returns (x, posterior): the conditional state is (x|0> + |1>) up to
@@ -151,7 +123,7 @@ def homodyne_prep_comparison(rng, grid: QuadratureGrid | None = None):
     """
     state = single_photon(0, 2)
     state = beamsplitter(state, BeamsplitterSpec(0, 1, 0.5))
-    out = homodyne_sample(state, 0, 0.0, rng, grid)
+    out = homodyne_sample(state, 0, 0.0, rng)
     return float(out.value), out.posterior
 
 
@@ -307,15 +279,18 @@ def logical_target_fidelity(state: PureState, qubit, c0: complex, c1: complex) -
     return fidelity(state, target)
 
 
-def run_protocol_trial(protocol: str, params: dict, master_seed: int,
-                       trial_index: int) -> dict:
-    """Run one protocol trial and return a JSON-serializable record."""
+def run_protocol_trial(protocol: str, backend, master_seed: int,
+                       trial_index: int, spec: PrepSpec | None = None,
+                       qubit: tuple | None = None,
+                       u: np.ndarray | None = None) -> dict:
+    """Run one protocol trial and return a JSON-serializable record.
+
+    ``prepare`` takes the target ``spec``; ``teleport`` takes the input
+    amplitudes ``qubit = (c0, c1)``; ``gate`` takes ``qubit`` and the
+    2x2 unitary ``u``.
+    """
     rng = trial_rng(master_seed, trial_index)
-    backend = _RecordingBackend(make_backend(
-        params.get("backend", "analytic"),
-        dt=float(params.get("dt", 1e-4)),
-        pulse_shape=params.get("pulse", "flat"),
-    ))
+    backend = _RecordingBackend(backend)
     record = {
         "protocol": protocol,
         "seed": [master_seed, trial_index],
@@ -325,22 +300,15 @@ def run_protocol_trial(protocol: str, params: dict, master_seed: int,
         "fidelity": None,
     }
     if protocol == "prepare":
-        spec = PrepSpec(alpha=float(params["alpha"]), phi=float(params["phi"]))
         out = prepare_arbitrary(spec, backend, rng)
         record["fidelity"] = float(fidelity(out, spec.target()))
-    elif protocol == "prepare-plus":
-        out = prepare_plus(backend, rng)
-        target = PureState(1, {(0,): 1.0, (1,): 1.0}).normalized()
-        record["fidelity"] = float(fidelity(out, target))
     elif protocol in ("teleport", "gate"):
-        c0, c1 = (complex(re, im) for re, im in params["input"])
+        c0, c1 = qubit
         state = qubit_state(c0, c1)
         if protocol == "teleport":
             out = teleport_single_to_dual(state, SingleRailQubit(0), backend, rng)
             t0, t1 = c0, c1
         else:
-            u = np.array([[complex(re, im) for re, im in row]
-                          for row in params["u"]])
             out = apply_single_rail_unitary(state, SingleRailQubit(0), u,
                                             backend, rng)
             t0, t1 = u @ np.array([c0, c1])

@@ -320,7 +320,7 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
 
 def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
                   policy: FeedbackPolicy, rng: np.random.Generator,
-                  dt: float | None = None, keep_series: bool = True):
+                  keep_series: bool = True):
     """Simulate one dyne trajectory on ``mode``.
 
     Returns (TrajectoryRecord, posterior): the posterior is the
@@ -328,8 +328,6 @@ def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
     truncated-tail excitation is projected onto vacuum (the discarded
     weight is reported on the record).
     """
-    if dt is not None and not math.isclose(dt, pulse.dt, rel_tol=1e-12):
-        raise ValueError(f"dt {dt} disagrees with the pulse grid dt {pulse.dt}")
     a0, rest_occs = _reduce_measured_mode(state, mode)
     noise = rng.standard_normal(pulse.n_steps) * math.sqrt(pulse.dt)
     res = _evolve(a0[None, :, :], noise[None, :], pulse, policy,

@@ -20,7 +20,8 @@ from railsim.fock import PureState, single_photon, vacuum
 from railsim.optics import (BeamsplitterSpec, HADAMARD, SingleRailQubit,
                             beamsplitter)
 from railsim.povm import apm_completeness, apm_sample, homodyne_cdf
-from railsim.protocols import (AnalyticBackend, apply_single_rail_unitary,
+from railsim.protocols import (AnalyticBackend, PrepSpec,
+                               apply_single_rail_unitary,
                                logical_target_fidelity, qubit_state,
                                run_protocol_trial, teleport_single_to_dual)
 from railsim.stats import chi2_gof_pvalue, ks_statistic, ks_uniform
@@ -81,10 +82,9 @@ def test_04_preparation_succeeds_deterministically():
     n = 100
     fids, successes = [], 0
     for i in range(n):
-        params = {"alpha": float(rng.random()),
-                  "phi": float(rng.random() * 2.0 * math.pi),
-                  "backend": "analytic"}
-        rec = run_protocol_trial("prepare", params, 43, i)
+        spec = PrepSpec(alpha=float(rng.random()),
+                        phi=float(rng.random() * 2.0 * math.pi))
+        rec = run_protocol_trial("prepare", AnalyticBackend(), 43, i, spec=spec)
         successes += rec["success"]
         fids.append(rec["fidelity"])
     ok = successes == n and min(fids) >= 1.0 - 1e-10

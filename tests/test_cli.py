@@ -19,7 +19,6 @@ from railsim.cli import (ConfigError, main, named_state, parse_input_qubit,
 from railsim.optics import HADAMARD
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-REPO_SCHEMA = REPO_ROOT / "schemas" / "summary.json"
 
 
 def run_main(capsys, argv):
@@ -29,18 +28,13 @@ def run_main(capsys, argv):
 
 
 def validate(summary):
-    schema = json.loads(REPO_SCHEMA.read_text())
+    schema = json.loads(importlib.resources.files("railsim")
+                        .joinpath("schemas/summary.json").read_text())
     jsonschema.validate(summary, schema,
                         cls=jsonschema.Draft202012Validator)
 
 
 # ---- parsing helpers ----
-
-def test_packaged_schema_matches_repo_copy():
-    packaged = (importlib.resources.files("railsim")
-                .joinpath("schemas/summary.json").read_bytes())
-    assert packaged == REPO_SCHEMA.read_bytes()
-
 
 def test_named_states():
     state, name = named_state("Vacuum")
@@ -103,7 +97,7 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
-def test_config_errors_exit_2(capsys):
+def test_config_errors_exit_2(capsys, tmp_path):
     assert main(["sample", "apm", "--state", "nope"]) == 2
     assert main(["sample", "count", "--backend", "trajectory"]) == 2
     assert main(["sample", "apm", "--mode", "5"]) == 2
@@ -112,6 +106,14 @@ def test_config_errors_exit_2(capsys):
     assert main(["sample", "apm", "--n", "0"]) == 2
     assert main(["trajectory", "--policy", "homodyne", "--delay", "0.1"]) == 2
     assert main(["trajectory", "--pulse", "square"]) == 2
+    # config-file values get the checks of the flags they stand for
+    cfg = tmp_path / "cfg.json"
+    for raw, argv in (({"state": 5}, ["sample", "apm"]),
+                      ({"backend": "bogus"}, ["sample", "apm"]),
+                      ({"backend": "bogus"}, ["gate"]),
+                      ({"n": 2.7}, ["sample", "apm"])):
+        cfg.write_text(json.dumps(raw))
+        assert main(argv + ["--config", str(cfg)]) == 2, raw
     err = capsys.readouterr().err
     assert "railsim:" in err
 
@@ -341,17 +343,33 @@ def test_trajectory_outputs_identical_across_worker_counts_on_the_pool(tmp_path)
     assert blobs[1] == blobs[2]
 
 
+def _outputs_at_chunk_sizes(capsys, tmp_path, monkeypatch, knob, chunks, argv):
+    """(stdout, JSONL bytes) of one command at each ``cli.<knob>`` value."""
+    blobs = []
+    for chunk in chunks:
+        monkeypatch.setattr(cli, knob, chunk)
+        jsonl = tmp_path / f"c{chunk}.jsonl"
+        rc = main(argv + ["--jsonl", str(jsonl)])
+        assert rc == 0
+        blobs.append((capsys.readouterr().out, jsonl.read_bytes()))
+    return blobs
+
+
 def test_sample_outputs_identical_across_chunk_sizes(capsys, tmp_path,
                                                      monkeypatch):
-    blobs = {}
-    for chunk in (64, 4096):
-        monkeypatch.setattr(cli, "SAMPLE_CHUNK", chunk)
-        jsonl = tmp_path / f"c{chunk}.jsonl"
-        rc = main(["sample", "apm", "--state", "plus-split", "--n", "5000",
-                   "--seed", "8", "--jsonl", str(jsonl)])
-        assert rc == 0
-        blobs[chunk] = (capsys.readouterr().out, jsonl.read_bytes())
-    assert blobs[64] == blobs[4096]
+    small, large = _outputs_at_chunk_sizes(
+        capsys, tmp_path, monkeypatch, "SAMPLE_CHUNK", (64, 4096),
+        ["sample", "apm", "--state", "plus-split", "--n", "5000", "--seed", "8"])
+    assert small == large
+
+
+def test_protocol_outputs_identical_across_chunk_sizes(capsys, tmp_path,
+                                                       monkeypatch):
+    small, large = _outputs_at_chunk_sizes(
+        capsys, tmp_path, monkeypatch, "PROTOCOL_CHUNK", (7, 256),
+        ["gate", "--u", "hadamard", "--input", "qubit:0.6,1.0", "--n", "600",
+         "--seed", "11"])
+    assert small == large
 
 
 def test_protocol_outputs_identical_across_worker_counts(tmp_path):

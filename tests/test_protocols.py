@@ -21,7 +21,7 @@ from railsim.protocols import (AnalyticBackend, PrepSpec, TrajectoryBackend,
                                apply_single_rail_unitary,
                                bell_measurement_single_rail, dual_to_single,
                                homodyne_prep_comparison, hybrid_bell,
-                               logical_target_fidelity, make_backend,
+                               logical_target_fidelity,
                                prepare_arbitrary, prepare_plus, qubit_state,
                                run_protocol_trial, teleport_single_to_dual)
 from railsim.runner import trial_rng
@@ -324,25 +324,24 @@ def test_gate_failure_collapses_output_qubit():
 # ---- trial records ----
 
 def test_protocol_trial_record_is_json_serializable_and_deterministic():
-    params = {"alpha": 0.6, "phi": 0.785, "backend": "analytic"}
-    rec1 = run_protocol_trial("prepare", params, 5, 9)
-    rec2 = run_protocol_trial("prepare", params, 5, 9)
+    spec = PrepSpec(alpha=0.6, phi=0.785)
+    rec1 = run_protocol_trial("prepare", AnalyticBackend(), 5, 9, spec=spec)
+    rec2 = run_protocol_trial("prepare", AnalyticBackend(), 5, 9, spec=spec)
     assert rec1 == rec2
     assert rec1["seed"] == [5, 9]
     assert rec1["fidelity"] > 1.0 - 1e-12
     assert len(rec1["theta_values"]) == 1
     json.dumps(rec1)
-    rec3 = run_protocol_trial("prepare", params, 5, 10)
+    rec3 = run_protocol_trial("prepare", AnalyticBackend(), 5, 10, spec=spec)
     assert rec3["theta_values"] != rec1["theta_values"]
 
 
 def test_gate_trial_record_counts_and_thetas():
-    params = {"input": [[1.0, 0.0], [0.0, 0.0]],
-              "u": [[[RT2, 0.0], [RT2, 0.0]], [[RT2, 0.0], [-RT2, 0.0]]],
-              "backend": "analytic"}
+    u = np.array([[RT2, RT2], [RT2, -RT2]], dtype=complex)
     succ_thetas, fail_thetas = set(), set()
     for i in range(40):
-        rec = run_protocol_trial("gate", params, 21, i)
+        rec = run_protocol_trial("gate", AnalyticBackend(), 21, i,
+                                 qubit=(1.0, 0.0), u=u)
         json.dumps(rec)
         if rec["success"]:
             assert len(rec["theta_values"]) == 2
@@ -350,25 +349,15 @@ def test_gate_trial_record_counts_and_thetas():
         else:
             assert len(rec["theta_values"]) == 1
             assert rec["collapsed"] in (0, 1)
-    rec = run_protocol_trial("teleport",
-                             {"input": [[0.6, 0.0], [0.0, 0.8]],
-                              "backend": "analytic"}, 3, 0)
+    rec = run_protocol_trial("teleport", AnalyticBackend(), 3, 0,
+                             qubit=(0.6, 0.8j))
     assert rec["protocol"] == "teleport"
     assert rec["counts"] is not None
 
 
 def test_unknown_protocol_rejected():
     with pytest.raises(ValueError):
-        run_protocol_trial("bogus", {}, 0, 0)
-
-
-def test_make_backend_factory():
-    assert isinstance(make_backend("analytic"), AnalyticBackend)
-    tb = make_backend("trajectory", dt=1e-3, pulse_shape="expdecay:4")
-    assert isinstance(tb, TrajectoryBackend)
-    assert tb.pulse.kind == "expdecay:4"
-    with pytest.raises(ValueError):
-        make_backend("nope")
+        run_protocol_trial("bogus", AnalyticBackend(), 0, 0)
 
 
 # ---- trajectory backend equivalence ----
@@ -391,16 +380,16 @@ def test_preparation_measurement_statistics_match_analytic():
 
 
 def test_prepare_trial_with_trajectory_backend_reaches_target():
-    params = {"alpha": 0.6, "phi": 0.785, "backend": "trajectory",
-              "dt": 1e-3, "pulse": "flat"}
-    fids = [run_protocol_trial("prepare", params, 41, i)["fidelity"]
+    backend = TrajectoryBackend(make_pulse("flat", dt=1e-3))
+    spec = PrepSpec(alpha=0.6, phi=0.785)
+    fids = [run_protocol_trial("prepare", backend, 41, i, spec=spec)["fidelity"]
             for i in range(20)]
     assert min(fids) > 0.98
     assert np.mean(fids) > 0.99
 
 
 def test_teleport_with_trajectory_backend_end_to_end():
-    b = make_backend("trajectory", dt=1e-3)
+    b = TrajectoryBackend(make_pulse("flat", dt=1e-3))
     state = qubit_state(0.6, 0.8j)
     rate = 0
     for i in range(60):
@@ -477,15 +466,14 @@ def _batched_gate_trials(u, c0, c1, pulse, master_seed, n_trials):
 def test_batched_replay_matches_scalar_gate_trials():
     pulse = make_pulse("flat", dt=2e-3)
     c0, c1 = 0.6, 0.8j
-    params = {"input": [[0.6, 0.0], [0.0, 0.8]],
-              "u": [[[RT2, 0.0], [RT2, 0.0]], [[RT2, 0.0], [-RT2, 0.0]]],
-              "backend": "trajectory", "dt": 2e-3, "pulse": "flat"}
+    backend = TrajectoryBackend(pulse)
+    u = np.array([[RT2, RT2], [RT2, -RT2]], dtype=complex)
     theta1, theta2, fids, kinds = _batched_gate_trials(
         HADAMARD, c0, c1, pulse, 61, 6)
     got_theta2 = iter(theta2)
     got_fids = iter(fids)
     for i in range(6):
-        rec = run_protocol_trial("gate", params, 61, i)
+        rec = run_protocol_trial("gate", backend, 61, i, qubit=(c0, c1), u=u)
         assert rec["success"] == (kinds[i] in ("bell_plus", "bell_minus"))
         assert np.isclose(rec["theta_values"][0], theta1[i], atol=1e-12)
         if rec["success"]:

@@ -144,14 +144,6 @@ def test_large_delay_warns():
                       FeedbackPolicy.adaptive(loop_delay=0.1), rng)
 
 
-def test_dt_argument_must_match_pulse_grid():
-    rng = np.random.default_rng(6)
-    p = make_pulse("flat", dt=1e-3)
-    with pytest.raises(ValueError):
-        simulate_dyne(plus_state(), 0, p, FeedbackPolicy.adaptive(), rng,
-                      dt=2e-3)
-
-
 # ---- ensembles ----
 
 def test_ensemble_is_reproducible_and_batch_invariant():
