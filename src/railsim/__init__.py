@@ -20,7 +20,7 @@ from .runner import trial_rng, worker_count
 from .trajectory import (EnsembleResult, FeedbackPolicy, PulseShape,
                          TrajectoryDivergedError, TrajectoryRecord,
                          integrated_quadrature_check, make_pulse,
-                         mean_current_profile, run_dyne_ensemble, simulate_dyne)
+                         run_dyne_ensemble, simulate_dyne)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "trial_rng", "worker_count",
     "EnsembleResult", "FeedbackPolicy", "PulseShape",
     "TrajectoryDivergedError", "TrajectoryRecord",
-    "integrated_quadrature_check", "make_pulse", "mean_current_profile",
-    "run_dyne_ensemble", "simulate_dyne",
+    "integrated_quadrature_check", "make_pulse", "run_dyne_ensemble",
+    "simulate_dyne",
     "__version__",
 ]

@@ -20,11 +20,23 @@ The adaptive feedback policy sets
 Theta = (Phi_end - pi/2) mod 2pi, whose statistics reproduce the
 analytic phase POVM of :mod:`railsim.povm` as dt -> 0.
 
-The integrator is explicit Euler-Maruyama with per-step renormalization.
-The time grid is truncated at the last step with end-of-step U <= 1 -
-EPS_END, which bounds gamma_k dt < 1 (stability) at the cost of leaving
-a residual excitation weight of order u(T) dt that is projected onto
-vacuum at the end.
+M_k is linear and never raises the photon number, so on a measured mode
+holding at most one photon the record fixes the whole state through one
+complex number per trajectory (the Kraus form; Wiseman & Killip, PRA 57,
+2169 (1998)).  With a_0 = (a0[0], a0[1]) the rows of the initial state
+over the other modes, after k steps the unnormalized state is
+
+    (a0[0] + q_k a0[1],  d_k a0[1]),   d_k = prod_{j<k} (1 - gamma_j dt / 2),
+    q_{k+1} = q_k + sqrt(gamma_k) d_k e^{-i Phi_k} J_k dt,
+
+and xbar_k needs only q_k, d_k and the Gram matrix of a_0, so a step
+costs a few scalar operations per trajectory whatever the size of the
+rest of the state.  A measured mode holding two or more photons is
+stepped explicitly on the full amplitude array, with per-step
+renormalization.  The time grid is truncated at the last step with
+end-of-step U <= 1 - EPS_END, which bounds gamma_k dt < 1 (stability) at
+the cost of leaving a residual excitation weight of order u(T) dt that
+is projected onto vacuum at the end.
 """
 
 from __future__ import annotations
@@ -214,19 +226,102 @@ class _KernelResult:
     phases: np.ndarray | None = None
     i_dt: np.ndarray | None = None
     j_dt: np.ndarray | None = None
-    profile_sum: np.ndarray | None = None
-    profile_sq: np.ndarray | None = None
+
+
+class _KrausLanes:
+    """Lanes whose measured mode holds at most one photon, in Kraus form.
+
+    Each lane carries p = conj(q_k) as (real, imaginary) on a leading
+    axis of two, and the Gram matrix of its own a0 (g00, g11 and
+    g01 = sum conj(a0[0]) a0[1]); d_k is shared.  A vacuum-only mode is
+    the case g01 = g11 = 0.
+    """
+
+    def __init__(self, a0, sqrt_gamma, half_gamma_dt):
+        self.levels = a0.shape[1]
+        self.row0 = row0 = a0[:, 0, :]
+        self.row1 = row1 = a0[:, 1, :] if self.levels == 2 else np.zeros_like(row0)
+        self.g00 = (row0.real ** 2 + row0.imag ** 2).sum(axis=1)
+        self.g11 = (row1.real ** 2 + row1.imag ** 2).sum(axis=1)
+        g01 = (row0.conj() * row1).sum(axis=1)
+        self.g01 = np.stack([g01.real, g01.imag])
+        self.p = np.zeros_like(self.g01)
+        d = np.concatenate(([1.0], np.cumprod(1.0 - half_gamma_dt)))
+        self.d = d.tolist()
+        self.d2 = (d * d).tolist()
+        self.kick = (sqrt_gamma * d[:-1]).tolist()
+
+    def project(self, k, cs):
+        m = self.p * self.g11
+        m += self.g01                 # g01 + conj(q) g11
+        t = m * cs
+        proj = t[0] + t[1]
+        proj *= self.d[k]
+        m += self.g01
+        m *= self.p                   # rows sum to 2 Re(q g01) + |q|^2 g11
+        norm2 = m[0] + m[1]
+        norm2 += self.g00 + self.d2[k] * self.g11
+        return norm2, proj
+
+    def step(self, k, cs, jdt):
+        w = jdt * self.kick[k]
+        self.p += w * cs
+
+    def rows(self):
+        q = self.p[0] - 1j * self.p[1]
+        rows = np.stack([self.row0 + q[:, None] * self.row1,
+                         self.d[-1] * self.row1], axis=1)
+        return rows[:, :self.levels]
+
+
+class _StateLanes:
+    """Lanes of any occupation, stepped on the full amplitude array.
+
+    Explicit application of M_k with the previous step's normalization
+    folded in, so the array stays near unit norm.  ``project`` keeps the
+    norm and phase factor that the following ``step`` reuses.
+    """
+
+    def __init__(self, a0, sqrt_gamma, half_gamma_dt):
+        self.a = np.array(a0, dtype=complex)
+        self.n_arr = np.arange(a0.shape[1], dtype=float)
+        self.raise_w = np.sqrt(self.n_arr[1:])  # sqrt(n+1) couples |n+1> -> |n>
+        self.sqrt_gamma = sqrt_gamma
+        self.half_gamma_dt = half_gamma_dt
+
+    def project(self, k, cs):
+        a = self.a
+        self.norm2 = (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))
+        amean = np.zeros(len(a), dtype=complex)
+        for n in range(len(self.raise_w)):
+            amean += self.raise_w[n] * (a[:, n, :].conj() * a[:, n + 1, :]).sum(axis=1)
+        self.eiph = cs[0] - 1j * cs[1]
+        return self.norm2, (self.eiph * amean).real
+
+    def step(self, k, cs, jdt):
+        a = self.a
+        coupling = (self.sqrt_gamma[k] * jdt) * self.eiph
+        upper = a[:, 1:, :] * self.raise_w[None, :, None]
+        a *= (1.0 - self.half_gamma_dt[k] * self.n_arr)[None, :, None]
+        a[:, :-1, :] += coupling[:, None, None] * upper
+        a *= (1.0 / np.sqrt(self.norm2))[:, None, None]
+
+    def rows(self):
+        return self.a
 
 
 def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
-            policy: FeedbackPolicy, keep_series: bool = False,
-            keep_profile: bool = False) -> _KernelResult:
+            policy: FeedbackPolicy, keep_series: bool = False) -> _KernelResult:
     """Run the per-step update for a batch of trajectories.
 
-    ``a0`` has shape (batch, levels, n_rest) and ``noise`` holds the
-    Wiener increments, shape (batch, n_steps).  All per-step operations
-    are elementwise across the batch, so each trajectory's floating
-    point path is identical no matter how trials are batched.
+    ``a0`` has shape (batch, levels, n_rest) and may differ per lane;
+    ``noise`` holds the Wiener increments, shape (batch, n_steps).  A
+    measured mode with at most one photon (levels <= 2) runs in Kraus
+    form (:class:`_KrausLanes`), a few scalars per lane and step; more
+    photons run on the full amplitude array (:class:`_StateLanes`).
+    All per-step operations are elementwise across the batch, so each
+    trajectory's floating point path is identical no matter how trials
+    are batched.  ``a_final`` holds the normalized final rows.
     """
     batch, levels, _ = a0.shape
     n_steps = pulse.n_steps
@@ -240,81 +335,69 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
 
     sqrt_gamma = np.sqrt(pulse.decay)
     half_gamma_dt = 0.5 * pulse.decay * dt
-    sqrt_u = np.sqrt(pulse.envelope)
+    drive = (2.0 * sqrt_gamma * dt).tolist()  # J dt = drive * proj / norm2 + dW
+    sqrt_u = np.sqrt(pulse.envelope).tolist()
     with np.errstate(divide="ignore"):
         inv_sqrt_cum = np.where(pulse.cum_end > 0.0,
-                                1.0 / np.sqrt(np.maximum(pulse.cum_end, 1e-300)), 0.0)
-    n_arr = np.arange(levels, dtype=float)
-    raise_w = np.sqrt(n_arr[1:])  # sqrt(n+1) coupling |n+1> -> |n>
-    if not adaptive:
-        fixed_phase = policy.phi0 + policy.ramp * pulse.t
-        fixed_eiph = np.exp(-1j * fixed_phase)
+                                1.0 / np.sqrt(np.maximum(pulse.cum_end, 1e-300)),
+                                0.0).tolist()
+    lanes = (_KrausLanes if levels <= 2 else _StateLanes)(a0, sqrt_gamma,
+                                                         half_gamma_dt)
 
-    a = np.array(a0, dtype=complex)
     s_sum = np.zeros(batch)
     x_sum = np.zeros(batch)
-    phi = np.zeros(batch)
-    if adaptive and lag > 0:
-        ring = np.zeros((lag + 1, batch))
+    if adaptive:
+        cs = np.empty((2, batch))
+        # With no delay the phase is the running sum itself; it is read
+        # (cos, sin, series) before each step adds to it.
+        phi = s_sum
+        if lag > 0:
+            ring = np.zeros((lag + 1, batch))
+    else:
+        fixed_phase = policy.phi0 + policy.ramp * pulse.t
+        fixed_cs = np.stack([np.cos(fixed_phase), np.sin(fixed_phase)])[:, :, None]
     if keep_series:
         ser_phi = np.empty((batch, n_steps))
         ser_idt = np.empty((batch, n_steps))
         ser_jdt = np.empty((batch, n_steps))
-    if keep_profile:
-        prof_sum = np.zeros(n_steps)
-        prof_sq = np.zeros(n_steps)
 
     for k in range(n_steps):
         if adaptive:
-            eiph = np.cos(phi) - 1j * np.sin(phi)
+            np.cos(phi, out=cs[0])
+            np.sin(phi, out=cs[1])
         else:
             phi = fixed_phase[k]
-            eiph = fixed_eiph[k]
-        norm2 = (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))
+            cs = fixed_cs[:, k]
+        norm2, proj = lanes.project(k, cs)
         if k % 512 == 0 and not np.all(np.isfinite(norm2)):
             raise TrajectoryDivergedError(k)
-        amean = np.zeros(batch, dtype=complex)
-        for n in range(levels - 1):
-            amean += raise_w[n] * (a[:, n, :].conj() * a[:, n + 1, :]).sum(axis=1)
-        xbar = 2.0 * (eiph * amean).real / norm2
-        jdt = (sqrt_gamma[k] * dt) * xbar + noise[:, k]
-        idt = sqrt_u[k] * jdt
-        # Measurement operator, with the running normalization folded in.
-        inv_norm = 1.0 / np.sqrt(norm2)
-        coupling = (sqrt_gamma[k] * jdt) * eiph
-        upper = a[:, 1:, :] * raise_w[None, :, None]
-        a *= (1.0 - half_gamma_dt[k] * n_arr)[None, :, None]
-        a[:, :-1, :] += coupling[:, None, None] * upper
-        a *= inv_norm[:, None, None]
-        x_sum += idt
-        s_sum += idt * inv_sqrt_cum[k]
+        jdt = proj * drive[k]
+        jdt /= norm2
+        jdt += noise[:, k]
+        lanes.step(k, cs, jdt)
+        idt = jdt * sqrt_u[k]
         if keep_series:
             ser_phi[:, k] = phi
             ser_idt[:, k] = idt
             ser_jdt[:, k] = jdt
-        if keep_profile:
-            prof_sum[k] = idt.sum()
-            prof_sq[k] = (idt * idt).sum()
-        if adaptive:
-            if lag == 0:
-                phi = s_sum.copy()
-            else:
-                ring[k % (lag + 1)] = s_sum
-                back = k - lag
-                phi = ring[back % (lag + 1)] if back >= 0 else np.zeros(batch)
+        x_sum += idt
+        s_sum += idt * inv_sqrt_cum[k]
+        if adaptive and lag > 0:
+            ring[k % (lag + 1)] = s_sum
+            phi = ring[(k + 1) % (lag + 1)]  # the sum from step k - lag, or 0
 
-    norm2 = (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))
+    rows = lanes.rows()
+    norm2 = (rows.real ** 2 + rows.imag ** 2).sum(axis=(1, 2))
     if not np.all(np.isfinite(norm2)) or np.any(norm2 <= 0.0):
         raise TrajectoryDivergedError(n_steps - 1)
     theta = np.mod(s_sum - 0.5 * math.pi, 2.0 * math.pi)
-    row0 = a[:, 0, :]
+    row0 = rows[:, 0, :]
     w0 = (row0.real ** 2 + row0.imag ** 2).sum(axis=1)
     residual = 1.0 - w0 / norm2
-    out = _KernelResult(theta=theta, x=x_sum, a_final=a, residual=residual)
+    a_final = rows / np.sqrt(norm2)[:, None, None]
+    out = _KernelResult(theta=theta, x=x_sum, a_final=a_final, residual=residual)
     if keep_series:
         out.phases, out.i_dt, out.j_dt = ser_phi, ser_idt, ser_jdt
-    if keep_profile:
-        out.profile_sum, out.profile_sq = prof_sum, prof_sq
     return out
 
 
@@ -384,8 +467,7 @@ def _posterior_fidelity(a0: np.ndarray, a_final: np.ndarray,
     return (overlap.real ** 2 + overlap.imag ** 2) / (t2 * p2)
 
 
-def _ensemble_chunk(rng_range, a0, pulse, policy, master_seed, want_fidelity,
-                    keep_profile):
+def _ensemble_chunk(rng_range, a0, pulse, policy, master_seed, want_fidelity):
     start, stop = rng_range
     batch = stop - start
     n_steps = pulse.n_steps
@@ -395,11 +477,11 @@ def _ensemble_chunk(rng_range, a0, pulse, policy, master_seed, want_fidelity,
         noise[i] = trial_rng(master_seed, start + i).standard_normal(n_steps)
     noise *= sqrt_dt
     tiled = np.broadcast_to(a0, (batch,) + a0.shape)
-    res = _evolve(tiled, noise, pulse, policy, keep_profile=keep_profile)
+    res = _evolve(tiled, noise, pulse, policy)
     fid = None
     if want_fidelity and a0.shape[0] >= 2:
         fid = _posterior_fidelity(a0, res.a_final, res.theta)
-    return res.theta, res.x, res.residual, fid, res.profile_sum, res.profile_sq
+    return res.theta, res.x, res.residual, fid
 
 
 def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
@@ -416,8 +498,7 @@ def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
     if want_fidelity and (policy.kind != "adaptive" or a0.shape[0] < 2):
         want_fidelity = False
     worker = partial(_ensemble_chunk, a0=a0, pulse=pulse, policy=policy,
-                     master_seed=master_seed, want_fidelity=want_fidelity,
-                     keep_profile=False)
+                     master_seed=master_seed, want_fidelity=want_fidelity)
     parts = map_chunks(worker, chunk_ranges(n_trials, chunk_size), threads)
     theta = np.concatenate([p[0] for p in parts])
     x = np.concatenate([p[1] for p in parts])
@@ -426,33 +507,6 @@ def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
     return EnsembleResult(theta=theta, x=x, residual_weight=residual,
                           fidelity=fid, n_trials=n_trials, dt=pulse.dt,
                           policy_kind=policy.kind, pulse_kind=pulse.kind)
-
-
-def mean_current_profile(state: PureState, mode: int, pulse: PulseShape,
-                         policy: FeedbackPolicy, master_seed: int,
-                         n_trials: int, threads: int | None = None,
-                         chunk_size: int = DEFAULT_CHUNK):
-    """Ensemble mean and standard error of the current I(t_k).
-
-    Returns (t, mean_i, stderr_i).  For a homodyne policy at Phi = 0 and
-    an initial state with real <a> = c, the mean approaches 2 c u(t).
-    """
-    a0, _ = _reduce_measured_mode(state, mode)
-    worker = partial(_ensemble_chunk, a0=a0, pulse=pulse, policy=policy,
-                     master_seed=master_seed, want_fidelity=False,
-                     keep_profile=True)
-    parts = map_chunks(worker, chunk_ranges(n_trials, chunk_size), threads)
-    total = np.zeros(pulse.n_steps)
-    total_sq = np.zeros(pulse.n_steps)
-    for p in parts:
-        total += p[4]
-        total_sq += p[5]
-    dt = pulse.dt
-    mean_idt = total / n_trials
-    var_idt = np.maximum(total_sq / n_trials - mean_idt ** 2, 0.0)
-    mean_i = mean_idt / dt
-    stderr_i = np.sqrt(var_idt / n_trials) / dt
-    return pulse.t.copy(), mean_i, stderr_i
 
 
 def integrated_quadrature_check(state: PureState, mode: int, pulse: PulseShape,

@@ -25,8 +25,9 @@ from railsim.protocols import (AnalyticBackend, PrepSpec,
                                logical_target_fidelity, qubit_state,
                                run_protocol_trial, teleport_single_to_dual)
 from railsim.stats import chi2_gof_pvalue, ks_statistic, ks_uniform
-from railsim.trajectory import (FeedbackPolicy, make_pulse,
-                                mean_current_profile, run_dyne_ensemble)
+from railsim.trajectory import FeedbackPolicy, make_pulse, run_dyne_ensemble
+
+from current_profile import mean_current_profile
 
 RT2 = 1.0 / math.sqrt(2.0)
 

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from railsim import trajectory
 from railsim.fock import PureState, fidelity, fock_state, single_photon, vacuum
 from railsim.optics import BeamsplitterSpec, beamsplitter
 from railsim.povm import apm_density
 from railsim.stats import ks_statistic
 from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
-                                integrated_quadrature_check,
-                                mean_current_profile, simulate_dyne)
+                                integrated_quadrature_check, simulate_dyne)
+
+from current_profile import mean_current_profile
 
 
 def plus_state(phi0: float = 0.0) -> PureState:
@@ -220,15 +222,65 @@ def test_integrated_quadrature_matches_marginal_distribution():
     assert ks < 0.05
 
 
-def test_two_photon_input_diverges_loudly_or_is_rejected():
+def test_two_photon_input_diverges_loudly_or_is_rejected(monkeypatch):
     # the integrator itself is generic; the phase estimate is only
     # meaningful on <=1 photon, which protocol code checks separately.
+    # Two photons in the measured mode run the state form.
+    monkeypatch.setattr(trajectory, "_KrausLanes", _refuse)
     p = make_pulse("flat", dt=1e-3)
     rng = np.random.default_rng(14)
     rec, post = simulate_dyne(fock_state((2,)), 0, p,
                               FeedbackPolicy.homodyne(0.0), rng)
     assert np.isfinite(rec.x)
     assert post.n_modes == 0
+
+
+# ---- kernel forms ----
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("kernel form used on the wrong input")
+
+
+def _random_rows(rng, batch, levels, n_rest):
+    a0 = (rng.normal(size=(batch, levels, n_rest))
+          + 1j * rng.normal(size=(batch, levels, n_rest)))
+    if levels == 2:
+        a0[0, 1] = 0.0  # a lane whose measured mode holds vacuum only
+    return a0 / np.sqrt((np.abs(a0) ** 2).sum(axis=(1, 2)))[:, None, None]
+
+
+POLICIES = {
+    "adaptive": FeedbackPolicy.adaptive(),
+    "adaptive-delay": FeedbackPolicy.adaptive(loop_delay=3e-3),
+    "homodyne": FeedbackPolicy.homodyne(0.4),
+    "heterodyne": FeedbackPolicy.heterodyne(30.0, phi0=0.1),
+}
+
+
+@pytest.mark.parametrize("rest_modes", [1, 2, 3])
+@pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES.keys())
+def test_kraus_form_matches_state_form(monkeypatch, policy, rest_modes):
+    # the state form, forced onto <=1-photon inputs, is the oracle
+    rng = np.random.default_rng(17 + rest_modes)
+    p = make_pulse("raised-cosine", dt=1e-3)
+    for levels in (1, 2):
+        a0 = _random_rows(rng, 5, levels, 2 ** rest_modes)
+        noise = rng.standard_normal((5, p.n_steps)) * math.sqrt(p.dt)
+        with monkeypatch.context() as m:
+            m.setattr(trajectory, "_StateLanes", _refuse)
+            kraus = trajectory._evolve(a0, noise, p, policy, keep_series=True)
+            bare = trajectory._evolve(a0, noise, p, policy)
+        with monkeypatch.context() as m:
+            m.setattr(trajectory, "_KrausLanes", trajectory._StateLanes)
+            ref = trajectory._evolve(a0, noise, p, policy, keep_series=True)
+        dtheta = np.angle(np.exp(1j * (kraus.theta - ref.theta)))
+        assert np.max(np.abs(dtheta)) < 1e-12
+        for field in ("x", "residual", "a_final", "phases", "i_dt", "j_dt"):
+            got, want = getattr(kraus, field), getattr(ref, field)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12, field
+        for field in ("theta", "x", "residual", "a_final"):
+            assert np.array_equal(getattr(bare, field), getattr(kraus, field))
 
 
 def test_mean_current_profile_of_vacuum_is_flat_zero():
