@@ -1,50 +1,46 @@
 """Simulation of adaptive phase measurements on optical rail qubits."""
 
 from .fock import (PureState, TruncationError, apply_phase, fidelity,
-                   fock_state, inner, occupation_probabilities, single_photon,
-                   state_from_table, state_to_table, tensor, vacuum)
+                   fock_state, inner, single_photon, tensor, vacuum)
 from .optics import (HADAMARD, IDENTITY, PAULI_X, PAULI_Z, BeamsplitterSpec,
                      DualRailQubit, SingleRailQubit, beamsplitter,
                      decompose_pair_unitary, dual_rail_bell, dual_rail_unitary,
-                     logical_state, single_rail_bell, two_mode_unitary)
+                     single_rail_bell, two_mode_unitary)
 from .povm import (ApmDensity, MeasurementOutcome, OverOccupiedError,
-                   QuadratureGrid, apm_completeness, apm_density, apm_sample, homodyne_cdf,
+                   QuadratureGrid, apm_density, apm_sample, homodyne_cdf,
                    homodyne_density, homodyne_sample, make_grid, photon_count)
 from .protocols import (AnalyticBackend, BsmOutcome, GateOutcome, PrepSpec,
                         TrajectoryBackend, apply_single_rail_unitary,
                         bell_measurement_single_rail, dual_to_single,
-                        homodyne_prep_comparison, hybrid_bell,
-                        logical_target_fidelity, prepare_arbitrary, prepare_plus,
-                        qubit_state, run_protocol_trial, teleport_single_to_dual)
+                        hybrid_bell, logical_target_fidelity,
+                        prepare_arbitrary, qubit_state, run_protocol_trial,
+                        teleport_single_to_dual)
 from .runner import trial_rng, worker_count
 from .trajectory import (EnsembleResult, FeedbackPolicy, PulseShape,
                          TrajectoryDivergedError, TrajectoryRecord,
-                         integrated_quadrature_check, make_pulse,
-                         run_dyne_ensemble, simulate_dyne)
+                         make_pulse, run_dyne_ensemble, simulate_dyne)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "PureState", "TruncationError", "apply_phase", "fidelity", "fock_state",
-    "inner", "occupation_probabilities", "single_photon", "state_from_table",
-    "state_to_table", "tensor", "vacuum",
+    "inner", "single_photon", "tensor", "vacuum",
     "HADAMARD", "IDENTITY", "PAULI_X", "PAULI_Z", "BeamsplitterSpec",
     "DualRailQubit", "SingleRailQubit", "beamsplitter",
     "decompose_pair_unitary", "dual_rail_bell", "dual_rail_unitary",
-    "logical_state", "single_rail_bell", "two_mode_unitary",
+    "single_rail_bell", "two_mode_unitary",
     "ApmDensity", "MeasurementOutcome", "OverOccupiedError", "QuadratureGrid",
-    "apm_completeness", "apm_density", "apm_sample", "homodyne_cdf", "homodyne_density",
+    "apm_density", "apm_sample", "homodyne_cdf", "homodyne_density",
     "homodyne_sample", "make_grid", "photon_count",
     "AnalyticBackend", "BsmOutcome", "GateOutcome", "PrepSpec",
     "TrajectoryBackend", "apply_single_rail_unitary",
     "bell_measurement_single_rail", "dual_to_single",
-    "homodyne_prep_comparison", "hybrid_bell", "logical_target_fidelity",
-    "prepare_arbitrary", "prepare_plus", "qubit_state",
+    "hybrid_bell", "logical_target_fidelity",
+    "prepare_arbitrary", "qubit_state",
     "run_protocol_trial", "teleport_single_to_dual",
     "trial_rng", "worker_count",
     "EnsembleResult", "FeedbackPolicy", "PulseShape",
     "TrajectoryDivergedError", "TrajectoryRecord",
-    "integrated_quadrature_check", "make_pulse", "run_dyne_ensemble",
-    "simulate_dyne",
+    "make_pulse", "run_dyne_ensemble", "simulate_dyne",
     "__version__",
 ]

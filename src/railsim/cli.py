@@ -75,10 +75,18 @@ def named_state(name: str):
     raise ConfigError(f"unknown state {name!r}")
 
 
+def finite_float(text) -> float:
+    """float() that refuses NaN and the infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _qubit_spec(*fields) -> PrepSpec:
     """PrepSpec from alpha and phi, given as numbers or numeric strings."""
     try:
-        alpha, phi = map(float, fields)
+        alpha, phi = map(finite_float, fields)
         return PrepSpec(alpha=alpha, phi=phi)
     except ValueError as exc:
         raise ConfigError(f"bad alpha,phi {','.join(map(str, fields))!r}: "
@@ -132,10 +140,10 @@ def parse_policy(spec: str, loop_delay: float) -> FeedbackPolicy:
     if loop_delay:
         raise ConfigError("--delay applies to the adaptive policy only")
     if key.startswith("homodyne"):
-        phi = float(key.split(":", 1)[1]) if ":" in key else 0.0
+        phi = finite_float(key.split(":", 1)[1]) if ":" in key else 0.0
         return FeedbackPolicy.homodyne(phi)
     if key.startswith("heterodyne"):
-        ramp = float(key.split(":", 1)[1]) if ":" in key else 50.0
+        ramp = finite_float(key.split(":", 1)[1]) if ":" in key else 50.0
         return FeedbackPolicy.heterodyne(ramp)
     raise ConfigError(f"unknown policy {spec!r}")
 
@@ -468,26 +476,26 @@ def build_parser():
     ps.add_argument("kind", choices=["apm", "homodyne", "count"])
     ps.add_argument("--state", default="plus", help="built-in state name")
     ps.add_argument("--mode", type=int, default=0, help="measured mode")
-    ps.add_argument("--phi", type=float, default=0.0,
+    ps.add_argument("--phi", type=finite_float, default=0.0,
                     help="local-oscillator phase (homodyne)")
     ps.add_argument("--backend", choices=["analytic", "trajectory"],
                     default="analytic")
-    ps.add_argument("--dt", type=float, default=1e-4,
+    ps.add_argument("--dt", type=finite_float, default=1e-4,
                     help="trajectory time step")
     ps.add_argument("--pulse", default="flat",
                     help="flat, raised-cosine, or expdecay[:rate]")
-    ps.add_argument("--delay", type=float, default=0.0,
+    ps.add_argument("--delay", type=finite_float, default=0.0,
                     help="feedback loop delay (trajectory apm)")
     common(ps)
     sub_map["sample"] = ps
 
     pp = sub.add_parser("prep", help="deterministic state preparation")
-    pp.add_argument("--alpha", type=float, default=None,
+    pp.add_argument("--alpha", type=finite_float, default=None,
                     help="target amplitude of |0>")
-    pp.add_argument("--phi", type=float, default=0.0, help="target phase")
+    pp.add_argument("--phi", type=finite_float, default=0.0, help="target phase")
     pp.add_argument("--backend", choices=["analytic", "trajectory"],
                     default="analytic")
-    pp.add_argument("--dt", type=float, default=1e-4)
+    pp.add_argument("--dt", type=finite_float, default=1e-4)
     pp.add_argument("--pulse", default="flat")
     common(pp)
     sub_map["prep"] = pp
@@ -499,7 +507,7 @@ def build_parser():
                     help="0|1|plus|minus|qubit:alpha,phi")
     pg.add_argument("--backend", choices=["analytic", "trajectory"],
                     default="analytic")
-    pg.add_argument("--dt", type=float, default=1e-4)
+    pg.add_argument("--dt", type=finite_float, default=1e-4)
     pg.add_argument("--pulse", default="flat")
     common(pg)
     sub_map["gate"] = pg
@@ -510,8 +518,8 @@ def build_parser():
     pt.add_argument("--pulse", default="flat")
     pt.add_argument("--policy", default="adaptive",
                     help="adaptive, homodyne[:phi], or heterodyne[:ramp]")
-    pt.add_argument("--dt", type=float, default=1e-4)
-    pt.add_argument("--delay", type=float, default=0.0,
+    pt.add_argument("--dt", type=finite_float, default=1e-4)
+    pt.add_argument("--delay", type=finite_float, default=0.0,
                     help="feedback loop delay (adaptive)")
     pt.add_argument("--full-record", dest="full_record", default=None,
                     help="write t,phi,i,j,dw of trial 0 to this CSV")

@@ -209,56 +209,3 @@ def project_mode(state: PureState, mode: int, bra_coeffs: Iterable[complex]):
     if weight < _ZERO_WEIGHT:
         raise ValueError("projection weight vanishes")
     return weight, posterior.normalized()
-
-
-def occupation_probabilities(state: PureState, mode: int) -> list:
-    """Marginal probabilities p(n) for the occupation of one mode.
-
-    The state is normalized internally; the returned list has length
-    ``n_max + 1`` and sums to one.
-    """
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
-    total = state.norm_sq()
-    if total < _ZERO_WEIGHT:
-        raise ValueError("zero state has no occupation distribution")
-    probs = [0.0] * (state.n_max + 1)
-    for occ, amp in state.items():
-        probs[occ[mode]] += abs(amp) ** 2 / total
-    return probs
-
-
-def state_to_table(state: PureState) -> str:
-    """Serialize to CSV text, one line per basis vector: occupations, re, im.
-
-    Lines are sorted lexicographically by occupation; floats use repr
-    so the round trip is exact.
-    """
-    lines = []
-    for occ, amp in state.items():
-        fields = [str(n) for n in occ] + [repr(amp.real), repr(amp.imag)]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def state_from_table(text: str, n_max: int = 2, n_total_max: int = 4) -> PureState:
-    """Parse the CSV format written by :func:`state_to_table`."""
-    amps = {}
-    n_modes = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        # at least one occupation column plus re, im
-        if len(fields) < 3:
-            raise ValueError(f"bad state table line: {raw!r}")
-        occ = tuple(int(f) for f in fields[:-2])
-        if n_modes is None:
-            n_modes = len(occ)
-        elif len(occ) != n_modes:
-            raise ValueError("inconsistent mode count in state table")
-        amps[occ] = complex(float(fields[-2]), float(fields[-1]))
-    if n_modes is None:
-        raise ValueError("empty state table")
-    return PureState(n_modes, amps, n_max=n_max, n_total_max=n_total_max)

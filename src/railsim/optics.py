@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PureState, apply_phase, tensor, vacuum
+from .fock import PureState, apply_phase
 
 UNITARITY_TOL = 1e-10
 
@@ -185,49 +185,16 @@ def dual_rail_unitary(state: PureState, qubit: DualRailQubit, u: np.ndarray) -> 
     return out
 
 
-def single_rail_bell(n_max: int = 2, n_total_max: int = 4) -> PureState:
+def single_rail_bell() -> PureState:
     """(|0>|1> + |1>|0>)/sqrt(2) on two modes."""
     s = 1.0 / math.sqrt(2.0)
-    return PureState(2, {(0, 1): s, (1, 0): s}, n_max=n_max, n_total_max=n_total_max)
+    return PureState(2, {(0, 1): s, (1, 0): s})
 
 
-def dual_rail_bell(n_extra_modes: int = 0, n_max: int = 2, n_total_max: int = 4) -> PureState:
+def dual_rail_bell() -> PureState:
     """Dual-rail Bell pair (|01>|10> + |10>|01>)/sqrt(2) on modes 0-3.
 
-    The two qubits sit on rails (0, 1) and (2, 3); ``n_extra_modes``
-    appends vacuum padding.
+    The two qubits sit on rails (0, 1) and (2, 3).
     """
-    if n_extra_modes < 0:
-        raise ValueError("n_extra_modes must be non-negative")
     s = 1.0 / math.sqrt(2.0)
-    bell = PureState(4, {(0, 1, 1, 0): s, (1, 0, 0, 1): s},
-                     n_max=n_max, n_total_max=n_total_max)
-    if n_extra_modes:
-        bell = tensor(bell, vacuum(n_extra_modes, n_max=n_max, n_total_max=n_total_max))
-    return bell
-
-
-def logical_state(state: PureState, qubit) -> np.ndarray:
-    """Extract the (c0, c1) logical amplitudes of a qubit handle.
-
-    For a DualRailQubit all other modes must factor out, i.e. the state
-    restricted to the logical subspace must be a product; this holds for
-    the protocol outputs checked in the tests.  Amplitudes are returned
-    unnormalized, in the order (logical 0, logical 1).
-    """
-    if isinstance(qubit, SingleRailQubit):
-        c0 = c1 = 0.0 + 0.0j
-        for occ, amp in state.items():
-            if occ[qubit.mode] == 0:
-                c0 += amp
-            elif occ[qubit.mode] == 1:
-                c1 += amp
-        return np.array([c0, c1])
-    r0, r1 = qubit.rail0, qubit.rail1
-    c0 = c1 = 0.0 + 0.0j
-    for occ, amp in state.items():
-        if occ[r0] == 0 and occ[r1] == 1:
-            c0 += amp
-        elif occ[r0] == 1 and occ[r1] == 0:
-            c1 += amp
-    return np.array([c0, c1])
+    return PureState(4, {(0, 1, 1, 0): s, (1, 0, 0, 1): s})

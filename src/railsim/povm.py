@@ -51,19 +51,21 @@ class MeasurementOutcome:
     value: object
     posterior: PureState
     density: float
-    lo_phase: float | None = None
 
 
-def quad_psi(n: int, x) -> np.ndarray:
-    """Wavefunction <x|n> for the unit-variance vacuum convention."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+def quad_psi(n_max: int, x) -> np.ndarray:
+    """Wavefunctions <x|n> for n = 0..n_max in the unit-variance vacuum
+    convention; row n holds psi_n(x)."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     x = np.asarray(x, dtype=float)
+    psi = np.empty((n_max + 1,) + x.shape)
+    psi[0] = (2.0 * math.pi) ** (-0.25) * np.exp(-0.25 * x * x)
     prev = np.zeros_like(x)
-    cur = (2.0 * math.pi) ** (-0.25) * np.exp(-0.25 * x * x)
-    for k in range(n):
-        prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-    return cur
+    for k in range(n_max):
+        psi[k + 1] = (x * psi[k] - math.sqrt(k) * prev) / math.sqrt(k + 1)
+        prev = psi[k]
+    return psi
 
 
 @dataclass
@@ -71,29 +73,18 @@ class QuadratureGrid:
     """Tabulated number-state wavefunctions on a uniform x grid."""
 
     x: np.ndarray
-    psi: np.ndarray  # shape (n_levels, n_points); row n is psi_n(x)
-
-    @property
-    def n_levels(self) -> int:
-        return self.psi.shape[0]
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
+    psi: np.ndarray  # shape (n_max + 1, GRID_POINTS); row n is psi_n(x)
 
 
 @lru_cache(maxsize=8)
-def make_grid(n_max: int, x_min: float = GRID_X_MIN, x_max: float = GRID_X_MAX,
-              n_points: int = GRID_POINTS) -> QuadratureGrid:
+def make_grid(n_max: int) -> QuadratureGrid:
     """Build (and cache) the quadrature grid for occupations 0..n_max.
 
     Raises if the grid does not hold essentially all of the highest
     level's probability, which would silently bias sampling.
     """
-    if n_points < 2 or x_max <= x_min:
-        raise ValueError("bad grid parameters")
-    x = np.linspace(x_min, x_max, n_points)
-    psi = np.stack([quad_psi(n, x) for n in range(n_max + 1)])
+    x = np.linspace(GRID_X_MIN, GRID_X_MAX, GRID_POINTS)
+    psi = quad_psi(n_max, x)
     dx = x[1] - x[0]
     for n in range(n_max + 1):
         total = float(np.trapezoid(psi[n] ** 2, dx=dx))
@@ -154,8 +145,7 @@ def photon_count(state: PureState, modes, rng: np.random.Generator) -> Measureme
                               density=probs[counts])
 
 
-def homodyne_density(state: PureState, mode: int, phi: float = 0.0,
-                     grid: QuadratureGrid | None = None):
+def homodyne_density(state: PureState, mode: int, phi: float = 0.0):
     """Tabulated marginal density of the quadrature X_phi of one mode.
 
     Returns (x, pdf) on the grid; the input state is normalized
@@ -163,36 +153,29 @@ def homodyne_density(state: PureState, mode: int, phi: float = 0.0,
     """
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
-    if grid is None:
-        grid = make_grid(state.n_max)
-    if grid.n_levels < state.n_max + 1:
-        raise ValueError("grid truncation below the state's n_max")
+    grid = make_grid(state.n_max)
     groups = _mode_groups(state, mode)
     phases = np.exp(-1j * phi * np.arange(state.n_max + 1))
     density = np.zeros_like(grid.x)
     for rest in sorted(groups):
-        wave = (groups[rest] * phases) @ grid.psi[: state.n_max + 1]
+        wave = (groups[rest] * phases) @ grid.psi
         density += np.abs(wave) ** 2
     return grid.x, density / state.norm_sq()
 
 
-def homodyne_cdf(state: PureState, mode: int, phi: float = 0.0,
-                 grid: QuadratureGrid | None = None):
+def homodyne_cdf(state: PureState, mode: int, phi: float = 0.0):
     """Tabulated (x, pdf, cdf) of the quadrature X_phi of one mode.
 
     The cdf is the trapezoid integral of the pdf; its last entry is the
     total weight (1 up to grid truncation).  ``np.interp(u * cdf[-1],
     cdf, x)`` inverts it.
     """
-    if grid is None:
-        grid = make_grid(state.n_max)
-    grid_x, density = homodyne_density(state, mode, phi, grid)
-    return grid_x, density, trapezoid_cdf(density, grid.dx)
+    grid_x, density = homodyne_density(state, mode, phi)
+    return grid_x, density, trapezoid_cdf(density, float(grid_x[1] - grid_x[0]))
 
 
 def homodyne_sample(state: PureState, mode: int, phi: float,
-                    rng: np.random.Generator,
-                    grid: QuadratureGrid | None = None) -> MeasurementOutcome:
+                    rng: np.random.Generator) -> MeasurementOutcome:
     """Sample the quadrature X_phi of one mode by inverse-CDF lookup.
 
     The marginal density is tabulated on the grid, integrated with the
@@ -200,28 +183,14 @@ def homodyne_sample(state: PureState, mode: int, phi: float,
     follows by projecting the mode onto the bra with coefficients
     psi_n(x) e^{-i n phi}.
     """
-    if grid is None:
-        grid = make_grid(state.n_max)
-    grid_x, density, cdf = homodyne_cdf(state, mode, phi, grid)
+    grid_x, density, cdf = homodyne_cdf(state, mode, phi)
     phases = np.exp(-1j * phi * np.arange(state.n_max + 1))
     x_val = float(np.interp(rng.random() * cdf[-1], cdf, grid_x))
-    bra = quad_psi_vector(state.n_max, x_val) * phases
+    bra = quad_psi(state.n_max, x_val) * phases
     _, posterior = project_mode(state, mode, bra)
-    p_val = float(np.interp(x_val, grid.x, density))
+    p_val = float(np.interp(x_val, grid_x, density))
     return MeasurementOutcome(kind="homodyne", value=x_val, posterior=posterior,
-                              density=p_val, lo_phase=phi)
-
-
-def quad_psi_vector(n_max: int, x: float) -> np.ndarray:
-    """psi_n(x) for n = 0..n_max at one point."""
-    out = np.empty(n_max + 1)
-    prev = 0.0
-    cur = (2.0 * math.pi) ** (-0.25) * math.exp(-0.25 * x * x)
-    out[0] = cur
-    for k in range(n_max):
-        prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-        out[k + 1] = cur
-    return out
+                              density=p_val)
 
 
 @dataclass
@@ -288,17 +257,3 @@ def apm_sample(state: PureState, mode: int, rng: np.random.Generator) -> Measure
     bra = np.array([1.0, cmath.exp(-1j * theta)])
     _, posterior = project_mode(state, mode, bra)
     return MeasurementOutcome(kind="apm", value=theta, posterior=posterior, density=p)
-
-
-def apm_completeness(n_points: int = 4096) -> np.ndarray:
-    """Numerical integral of |theta><theta| / 2 pi over the outcome circle.
-
-    Returns the 2x2 matrix on span(|0>, |1>); equals the identity when
-    the effects resolve to a proper POVM.
-    """
-    theta = 2.0 * math.pi * np.arange(n_points) / n_points
-    e = np.exp(1j * theta)
-    return np.array([
-        [np.mean(np.ones_like(theta)), np.mean(e.conjugate())],
-        [np.mean(e), np.mean(np.ones_like(theta))],
-    ])

@@ -26,7 +26,7 @@ from .fock import PureState, apply_phase, fidelity, single_photon, tensor
 from .optics import (BeamsplitterSpec, DualRailQubit, SingleRailQubit,
                      beamsplitter, dual_rail_bell, dual_rail_unitary)
 from .povm import (MeasurementOutcome, OverOccupiedError, apm_density,
-                   apm_sample, homodyne_sample, photon_count)
+                   apm_sample, photon_count)
 from .runner import trial_rng
 from .trajectory import FeedbackPolicy, PulseShape, simulate_dyne
 
@@ -91,17 +91,6 @@ class _RecordingBackend:
         return out
 
 
-def prepare_plus(backend, rng) -> PureState:
-    """Split a photon 50:50, phase-measure one arm, undo the random phase.
-
-    Deterministically yields (|0> + |1>)/sqrt(2) up to a global phase.
-    """
-    state = single_photon(0, 2)
-    state = beamsplitter(state, BeamsplitterSpec(0, 1, 0.5))
-    out = backend.apm(state, 0, rng)
-    return apply_phase(out.posterior, 0, -out.value)
-
-
 def prepare_arbitrary(spec: PrepSpec, backend, rng) -> PureState:
     """Produce alpha |0> + e^{-i phi} sqrt(1-alpha^2) |1> deterministically.
 
@@ -110,21 +99,9 @@ def prepare_arbitrary(spec: PrepSpec, backend, rng) -> PureState:
     together with the target phase, feeds forward onto the free port.
     """
     state = single_photon(0, 2)
-    state = beamsplitter(state, BeamsplitterSpec(0, 1, spec.alpha ** 2))
+    state = beamsplitter(state, BeamsplitterSpec(0, 1, spec.alpha * spec.alpha))
     out = backend.apm(state, 0, rng)
     return apply_phase(out.posterior, 0, -(out.value + spec.phi))
-
-
-def homodyne_prep_comparison(rng):
-    """Split a photon and homodyne one arm instead of phase-measuring it.
-
-    Returns (x, posterior): the conditional state is (x|0> + |1>) up to
-    normalization — a known phase but a random amplitude.
-    """
-    state = single_photon(0, 2)
-    state = beamsplitter(state, BeamsplitterSpec(0, 1, 0.5))
-    out = homodyne_sample(state, 0, 0.0, rng)
-    return float(out.value), out.posterior
 
 
 def _check_dual_occupancy(state: PureState, q: DualRailQubit):
@@ -168,12 +145,11 @@ class BsmOutcome:
     """Result of a single-rail Bell measurement.
 
     kind: bell_plus | bell_minus | fail_zero | fail_two, with the raw
-    detector counts on (m1, m2) and the branch probability.
+    detector counts on (m1, m2).
     """
 
     kind: str
     counts: tuple
-    probability: float
 
 
 @dataclass
@@ -211,7 +187,7 @@ def bell_measurement_single_rail(state: PureState, m1: int, m2: int, rng):
         kind = "bell_plus"
     else:
         kind = "bell_minus"
-    return BsmOutcome(kind=kind, counts=counts, probability=out.density), out.posterior
+    return BsmOutcome(kind=kind, counts=counts), out.posterior
 
 
 def teleport_single_to_dual(state: PureState, q: SingleRailQubit, backend, rng) -> GateOutcome:

@@ -89,18 +89,18 @@ class PulseShape:
         return len(self.t)
 
 
-def make_pulse(shape: str, dt: float = 1e-4, T: float = 1.0) -> PulseShape:
-    """Sample a named envelope on a step-dt grid over [0, T].
+def make_pulse(shape: str, dt: float = 1e-4) -> PulseShape:
+    """Sample a named envelope on a step-dt grid over [0, 1].
 
     ``shape`` is one of "flat", "raised-cosine", or "expdecay:RATE"
     (e.g. "expdecay:4"); the envelope is renormalized so that the
-    left-Riemann cumulative sum reaches exactly 1 at T.  Steps whose
+    left-Riemann cumulative sum reaches exactly 1 at t = 1.  Steps whose
     end-of-step cumulative exceeds 1 - EPS_END are dropped, keeping the
     decay rate finite and gamma_k dt < 1 everywhere.
     """
-    if dt <= 0 or T <= 0:
-        raise ValueError("dt and T must be positive")
-    n_total = int(round(T / dt))
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n_total = int(round(1.0 / dt))
     if n_total < 2:
         raise ValueError("grid must have at least two steps")
     t = np.arange(n_total) * dt
@@ -108,7 +108,7 @@ def make_pulse(shape: str, dt: float = 1e-4, T: float = 1.0) -> PulseShape:
     if kind == "flat":
         u = np.ones_like(t)
     elif kind in ("raised-cosine", "raised_cosine"):
-        u = 1.0 - np.cos(2.0 * math.pi * t / T)
+        u = 1.0 - np.cos(2.0 * math.pi * t)
         kind = "raised-cosine"
     elif kind.startswith("expdecay"):
         _, _, arg = kind.partition(":")
@@ -446,10 +446,6 @@ class EnsembleResult:
     x: np.ndarray
     residual_weight: np.ndarray
     fidelity: np.ndarray | None
-    n_trials: int
-    dt: float
-    policy_kind: str
-    pulse_kind: str
 
 
 def _posterior_fidelity(a0: np.ndarray, a_final: np.ndarray,
@@ -505,21 +501,4 @@ def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
     residual = np.concatenate([p[2] for p in parts])
     fid = np.concatenate([p[3] for p in parts]) if want_fidelity else None
     return EnsembleResult(theta=theta, x=x, residual_weight=residual,
-                          fidelity=fid, n_trials=n_trials, dt=pulse.dt,
-                          policy_kind=policy.kind, pulse_kind=pulse.kind)
-
-
-def integrated_quadrature_check(state: PureState, mode: int, pulse: PulseShape,
-                                phi: float, master_seed: int, n_trials: int,
-                                threads: int | None = None) -> float:
-    """KS distance between integrated-current samples and the analytic
-    homodyne density of the same state at LO phase ``phi``."""
-    from .povm import homodyne_density
-    from .stats import ks_statistic, trapezoid_cdf
-
-    result = run_dyne_ensemble(state, mode, pulse, FeedbackPolicy.homodyne(phi),
-                               master_seed, n_trials, threads=threads)
-    grid_x, pdf = homodyne_density(state, mode, phi)
-    cdf = trapezoid_cdf(pdf, grid_x[1] - grid_x[0])
-    cdf /= cdf[-1]
-    return ks_statistic(result.x, lambda v: np.interp(v, grid_x, cdf))
+                          fidelity=fid)

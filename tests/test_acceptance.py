@@ -19,7 +19,7 @@ from scipy import stats as sps
 from railsim.fock import PureState, single_photon, vacuum
 from railsim.optics import (BeamsplitterSpec, HADAMARD, SingleRailQubit,
                             beamsplitter)
-from railsim.povm import apm_completeness, apm_sample, homodyne_cdf
+from railsim.povm import apm_sample, homodyne_cdf
 from railsim.protocols import (AnalyticBackend, PrepSpec,
                                apply_single_rail_unitary,
                                logical_target_fidelity, qubit_state,
@@ -28,6 +28,7 @@ from railsim.stats import chi2_gof_pvalue, ks_statistic, ks_uniform
 from railsim.trajectory import FeedbackPolicy, make_pulse, run_dyne_ensemble
 
 from current_profile import mean_current_profile
+from paper_checks import apm_completeness
 
 RT2 = 1.0 / math.sqrt(2.0)
 

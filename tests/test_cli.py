@@ -106,16 +106,39 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert main(["sample", "apm", "--n", "0"]) == 2
     assert main(["trajectory", "--policy", "homodyne", "--delay", "0.1"]) == 2
     assert main(["trajectory", "--pulse", "square"]) == 2
+    # numbers inside a state, input or policy specification must be finite
+    assert main(["gate", "--input", "qubit:0.5,nan", "--n", "4"]) == 2
+    assert main(["sample", "apm", "--state", "qubit:inf,0"]) == 2
+    assert main(["trajectory", "--policy", "homodyne:nan"]) == 2
+    assert main(["trajectory", "--policy", "heterodyne:inf"]) == 2
     # config-file values get the checks of the flags they stand for
     cfg = tmp_path / "cfg.json"
     for raw, argv in (({"state": 5}, ["sample", "apm"]),
                       ({"backend": "bogus"}, ["sample", "apm"]),
                       ({"backend": "bogus"}, ["gate"]),
-                      ({"n": 2.7}, ["sample", "apm"])):
+                      ({"n": 2.7}, ["sample", "apm"]),
+                      ({"phi": math.nan}, ["sample", "homodyne"]),
+                      ({"alpha": math.nan}, ["prep"]),
+                      ({"dt": math.inf}, ["trajectory"]),
+                      ({"delay": "nan"}, ["trajectory"])):
         cfg.write_text(json.dumps(raw))
         assert main(argv + ["--config", str(cfg)]) == 2, raw
     err = capsys.readouterr().err
     assert "railsim:" in err
+
+
+def test_non_finite_float_flags_exit_2(capsys):
+    # argparse refuses them before any work, with its own SystemExit(2)
+    for argv in (["sample", "homodyne", "--phi", "nan"],
+                 ["prep", "--alpha", "0.5", "--phi", "nan"],
+                 ["prep", "--alpha", "inf"],
+                 ["gate", "--backend", "trajectory", "--dt", "inf"],
+                 ["trajectory", "--delay", "nan"],
+                 ["trajectory", "--delay", "inf"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert "finite" in capsys.readouterr().err
 
 
 # ---- sampling commands ----

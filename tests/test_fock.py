@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railsim.fock import (PureState, TruncationError, apply_phase, fidelity,
-                          fock_state, inner, occupation_probabilities,
-                          project_mode, single_photon, state_from_table,
-                          state_to_table, tensor, vacuum)
+                          fock_state, inner, project_mode, single_photon,
+                          tensor, vacuum)
 
 
 def test_basis_state_roundtrip():
@@ -126,30 +125,6 @@ def test_project_mode_applies_bra_as_given():
 def test_project_mode_vanishing_weight_raises():
     with pytest.raises(ValueError):
         project_mode(fock_state((0,), n_max=2), 0, [0.0, 1.0])
-
-
-def test_occupation_probabilities_sum_to_one():
-    st_ = PureState(2, {(0, 1): 1.0, (1, 0): 2.0}).normalized()
-    probs = occupation_probabilities(st_, 0)
-    assert np.isclose(sum(probs), 1.0)
-    assert np.isclose(probs[0], 0.2)
-    assert np.isclose(probs[1], 0.8)
-
-
-def test_state_table_roundtrip():
-    st_ = PureState(2, {(0, 1): 0.6, (1, 0): 0.8j})
-    text = state_to_table(st_)
-    back = state_from_table(text)
-    assert back.n_modes == 2
-    for occ, amp in st_.items():
-        assert back.amp(occ) == amp
-
-
-def test_state_table_rejects_garbage():
-    with pytest.raises(ValueError):
-        state_from_table("1,2\n")
-    with pytest.raises(ValueError):
-        state_from_table("# only a comment\n")
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=5, allow_nan=False,

@@ -7,10 +7,11 @@ import pytest
 
 from railsim.fock import PureState, fidelity, fock_state, single_photon, vacuum
 from railsim.optics import BeamsplitterSpec, beamsplitter
-from railsim.povm import (ApmDensity, OverOccupiedError, apm_completeness,
-                          apm_density, apm_sample, homodyne_cdf,
-                          homodyne_density, homodyne_sample, make_grid,
-                          photon_count, quad_psi)
+from railsim.povm import (ApmDensity, OverOccupiedError, apm_density,
+                          apm_sample, homodyne_cdf, homodyne_density,
+                          homodyne_sample, make_grid, photon_count, quad_psi)
+
+from paper_checks import apm_completeness
 
 
 def plus_state(phi0: float = 0.0) -> PureState:
@@ -121,7 +122,7 @@ def test_quad_psi_orthonormal_on_grid():
 
 def test_quad_psi_vacuum_is_unit_variance_gaussian():
     x = np.linspace(-8, 8, 4001)
-    psi0 = quad_psi(0, x)
+    psi0 = quad_psi(0, x)[0]
     assert np.allclose(psi0, (2 * math.pi) ** (-0.25) * np.exp(-x * x / 4.0))
     assert np.isclose(np.trapezoid(x * x * psi0 ** 2, x), 1.0, atol=1e-9)
 

@@ -15,19 +15,21 @@ import pytest
 from railsim.fock import PureState, apply_phase, fidelity, tensor, vacuum
 from railsim.optics import (DualRailQubit, HADAMARD, IDENTITY,
                             SingleRailQubit, dual_rail_bell,
-                            dual_rail_unitary, logical_state)
+                            dual_rail_unitary)
 from railsim.povm import OverOccupiedError, photon_count
 from railsim.protocols import (AnalyticBackend, PrepSpec, TrajectoryBackend,
                                apply_single_rail_unitary,
                                bell_measurement_single_rail, dual_to_single,
-                               homodyne_prep_comparison, hybrid_bell,
-                               logical_target_fidelity,
-                               prepare_arbitrary, prepare_plus, qubit_state,
+                               hybrid_bell, logical_target_fidelity,
+                               prepare_arbitrary, qubit_state,
                                run_protocol_trial, teleport_single_to_dual)
 from railsim.runner import trial_rng
 from railsim.stats import ks_uniform
 from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
                                 _evolve, _reduce_measured_mode)
+
+from logical_state import logical_state
+from paper_checks import homodyne_prep_comparison
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -58,7 +60,7 @@ def test_prepare_plus_is_deterministic():
     b = AnalyticBackend()
     target = PureState(1, {(0,): RT2, (1,): RT2})
     for _ in range(40):
-        out = prepare_plus(b, rng)
+        out = prepare_arbitrary(PrepSpec(math.sqrt(0.5), 0.0), b, rng)
         assert fidelity(out, target) > 1.0 - 1e-12
 
 

@@ -11,9 +11,10 @@ from railsim.optics import BeamsplitterSpec, beamsplitter
 from railsim.povm import apm_density
 from railsim.stats import ks_statistic
 from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
-                                integrated_quadrature_check, simulate_dyne)
+                                simulate_dyne)
 
 from current_profile import mean_current_profile
+from paper_checks import integrated_quadrature_check
 
 
 def plus_state(phi0: float = 0.0) -> PureState:
