@@ -26,6 +26,22 @@ class TruncationError(Exception):
     """An operation would exceed the configured Fock-space capacity."""
 
 
+def _check_occupation(occ, n_modes: int, n_max: int, n_total_max: int) -> tuple:
+    """(occ as a tuple of ints, whether it exceeds the caps)."""
+    occ = tuple(map(int, occ))
+    if len(occ) != n_modes:
+        raise ValueError(f"occupation {occ} has wrong length for {n_modes} modes")
+    if min(occ, default=0) < 0:
+        raise ValueError(f"negative occupation in {occ}")
+    return occ, max(occ, default=0) > n_max or sum(occ) > n_total_max
+
+
+# _check_occupation results for tuple keys, keyed on (occ, caps).  Errors
+# are never stored; the memo is emptied when it reaches _OCC_MEMO_SIZE.
+_OCC_MEMO: dict = {}
+_OCC_MEMO_SIZE = 4096
+
+
 @dataclass
 class PureState:
     """Sparse pure state on ``n_modes`` optical modes.
@@ -49,26 +65,35 @@ class PureState:
     n_total_max: int = 4
 
     def __post_init__(self):
-        if not 0 <= self.n_modes <= MAX_MODES:
-            raise ValueError(f"n_modes must be in [0, {MAX_MODES}], got {self.n_modes}")
-        if self.n_max < 0 or self.n_total_max < 0:
+        n_modes, n_max, n_total_max = self.n_modes, self.n_max, self.n_total_max
+        if not 0 <= n_modes <= MAX_MODES:
+            raise ValueError(f"n_modes must be in [0, {MAX_MODES}], got {n_modes}")
+        if n_max < 0 or n_total_max < 0:
             raise ValueError("occupation caps must be non-negative")
+        caps = (n_modes, n_max, n_total_max)
+        memo = _OCC_MEMO
         cleaned = {}
         for occ, amp in self.amplitudes.items():
-            occ = tuple(int(n) for n in occ)
-            if len(occ) != self.n_modes:
-                raise ValueError(f"occupation {occ} has wrong length for {self.n_modes} modes")
-            if any(n < 0 for n in occ):
-                raise ValueError(f"negative occupation in {occ}")
+            if type(occ) is tuple:
+                key = (occ, caps)
+                checked = memo.get(key)
+                if checked is None:
+                    checked = _check_occupation(occ, *caps)
+                    if len(memo) >= _OCC_MEMO_SIZE:
+                        memo.clear()
+                    memo[key] = checked
+            else:
+                checked = _check_occupation(occ, *caps)
+            occ, over_caps = checked
             amp = complex(amp)
             if abs(amp) ** 2 < PRUNE_EPS:
                 # Pruned before the cap check so that amplitudes which
                 # cancel to rounding noise never trip TruncationError.
                 continue
-            if max(occ, default=0) > self.n_max or sum(occ) > self.n_total_max:
+            if over_caps:
                 raise TruncationError(
-                    f"occupation {occ} exceeds caps n_max={self.n_max}, "
-                    f"n_total_max={self.n_total_max}"
+                    f"occupation {occ} exceeds caps n_max={n_max}, "
+                    f"n_total_max={n_total_max}"
                 )
             cleaned[occ] = amp
         self.amplitudes = cleaned

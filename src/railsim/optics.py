@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,10 +84,24 @@ def _check_unitary(v: np.ndarray):
     v = np.asarray(v, dtype=complex)
     if v.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {v.shape}")
-    err = np.max(np.abs(v.conj().T @ v - np.eye(2)))
-    if err > UNITARITY_TOL:
-        raise ValueError(f"matrix is not unitary (deviation {err:.3g})")
+    _check_unitary_bytes(v.tobytes())
     return v
+
+
+def _matrix(key: bytes) -> np.ndarray:
+    return np.frombuffer(key, dtype=complex).reshape(2, 2)
+
+
+# The 2x2 work below is keyed on the matrix bytes: a protocol applies the
+# same few matrices on every trial.  lru_cache never caches an exception,
+# so a bad matrix raises on every call.
+@lru_cache(maxsize=256)
+def _check_unitary_bytes(key: bytes) -> None:
+    v = _matrix(key)
+    err = np.max(np.abs(v.conj().T @ v - np.eye(2)))
+    # Written so that NaN fails the check.
+    if not err <= UNITARITY_TOL:
+        raise ValueError(f"matrix is not unitary (deviation {err:.3g})")
 
 
 def two_mode_unitary(state: PureState, m1: int, m2: int, v: np.ndarray) -> PureState:
@@ -102,19 +117,22 @@ def two_mode_unitary(state: PureState, m1: int, m2: int, v: np.ndarray) -> PureS
     for m in (m1, m2):
         if not 0 <= m < state.n_modes:
             raise ValueError(f"mode {m} out of range for {state.n_modes} modes")
+    key = v.tobytes()
     amps = {}
     for occ, amp in state.items():
-        n1, n2 = occ[m1], occ[m2]
-        for (k1, k2), coeff in _pair_image(n1, n2, v).items():
+        for (k1, k2), coeff in _pair_image(occ[m1], occ[m2], key):
             out = list(occ)
             out[m1], out[m2] = k1, k2
-            key = tuple(out)
-            amps[key] = amps.get(key, 0.0 + 0.0j) + amp * coeff
+            out = tuple(out)
+            amps[out] = amps.get(out, 0.0 + 0.0j) + amp * coeff
     return PureState(state.n_modes, amps, n_max=state.n_max, n_total_max=state.n_total_max)
 
 
-def _pair_image(n1: int, n2: int, v: np.ndarray) -> dict:
-    """Amplitudes <k1, k2| V |n1, n2> for all k1 + k2 = n1 + n2."""
+@lru_cache(maxsize=1024)
+def _pair_image(n1: int, n2: int, key: bytes) -> tuple:
+    """Amplitudes <k1, k2| V |n1, n2> for all k1 + k2 = n1 + n2, as
+    ((k1, k2), coeff) pairs with Python complex coefficients."""
+    v = _matrix(key)
     total = n1 + n2
     out = {}
     for p in range(n1 + 1):
@@ -133,7 +151,7 @@ def _pair_image(n1: int, n2: int, v: np.ndarray) -> dict:
                 / (math.factorial(n1) * math.factorial(n2))
             )
             out[(k1, k2)] = out.get((k1, k2), 0.0 + 0.0j) + coeff
-    return out
+    return tuple((k, complex(c)) for k, c in out.items())
 
 
 def beamsplitter(state: PureState, spec: BeamsplitterSpec) -> PureState:
@@ -171,11 +189,7 @@ def dual_rail_unitary(state: PureState, qubit: DualRailQubit, u: np.ndarray) -> 
     number sectors transform as the same optics dictates.
     """
     u = _check_unitary(u)
-    # The logical basis (|01>, |10>) is the one-photon mode basis
-    # (|10>, |01>) read in the opposite order, so conjugate by a swap.
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    m = swap @ u @ swap
-    g0, g1, eta, b0, b1 = decompose_pair_unitary(m)
+    g0, g1, eta, b0, b1 = _dual_rail_layers(u.tobytes())
     r0, r1 = qubit.rail0, qubit.rail1
     out = apply_phase(state, r0, g0)
     out = apply_phase(out, r1, g1)
@@ -183,6 +197,15 @@ def dual_rail_unitary(state: PureState, qubit: DualRailQubit, u: np.ndarray) -> 
     out = apply_phase(out, r0, b0)
     out = apply_phase(out, r1, b1)
     return out
+
+
+@lru_cache(maxsize=64)
+def _dual_rail_layers(key: bytes) -> tuple:
+    """Phase / beamsplitter / phase layers of a logical unitary."""
+    # The logical basis (|01>, |10>) is the one-photon mode basis
+    # (|10>, |01>) read in the opposite order, so conjugate by a swap.
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    return decompose_pair_unitary(swap @ _matrix(key) @ swap)
 
 
 def single_rail_bell() -> PureState:

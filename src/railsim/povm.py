@@ -218,6 +218,11 @@ class ApmDensity:
         return (1.0 + 2.0 * abs(self.z)) / (2.0 * math.pi)
 
 
+def _apm_pdf(z: complex, theta: float) -> float:
+    """``ApmDensity(z)(theta)`` in scalar arithmetic; the same float."""
+    return (1.0 + 2.0 * (z * cmath.exp(-1j * theta)).real) / (2.0 * math.pi)
+
+
 def _apm_overlap(state: PureState, mode: int) -> complex:
     """Compute z = <rho_0|rho_1> after validating the occupation support."""
     if not 0 <= mode < state.n_modes:
@@ -249,11 +254,12 @@ def apm_sample(state: PureState, mode: int, rng: np.random.Generator) -> Measure
     """
     dens = apm_density(state, mode)
     bound = dens.max_density
+    z = complex(dens.z)
     while True:
         theta = rng.random() * 2.0 * math.pi
-        p = float(dens(theta))
+        p = _apm_pdf(z, theta)
         if rng.random() * bound <= p:
             break
-    bra = np.array([1.0, cmath.exp(-1j * theta)])
+    bra = (1.0, cmath.exp(-1j * theta))
     _, posterior = project_mode(state, mode, bra)
     return MeasurementOutcome(kind="apm", value=theta, posterior=posterior, density=p)

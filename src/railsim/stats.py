@@ -30,14 +30,6 @@ def ks_statistic(samples, cdf) -> float:
     return float(max(upper, lower))
 
 
-def ks_uniform(samples, lo: float, hi: float) -> float:
-    """KS distance against the uniform distribution on [lo, hi]."""
-    span = hi - lo
-    if span <= 0:
-        raise ValueError("empty interval")
-    return ks_statistic(samples, lambda v: np.clip((v - lo) / span, 0.0, 1.0))
-
-
 def chi2_sf(x: float, k: int) -> float:
     """Upper tail P(X > x) of the chi-squared law with integer k >= 1 dof.
 

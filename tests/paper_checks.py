@@ -1,8 +1,9 @@
 """The paper's checks that the library itself never runs.
 
 Each one builds on public railsim functions: the completeness of the
-phase POVM, the homodyne comparison to the adaptive preparation, and
-the integrated dyne current against the analytic quadrature density.
+phase POVM, the homodyne comparison to the adaptive preparation, the
+integrated dyne current against the analytic quadrature density, and
+the KS distance to a uniform phase marginal.
 """
 
 import math
@@ -14,6 +15,14 @@ from railsim.optics import BeamsplitterSpec, beamsplitter
 from railsim.povm import homodyne_density, homodyne_sample
 from railsim.stats import ks_statistic, trapezoid_cdf
 from railsim.trajectory import FeedbackPolicy, run_dyne_ensemble
+
+
+def ks_uniform(samples, lo: float, hi: float) -> float:
+    """KS distance against the uniform distribution on [lo, hi]."""
+    span = hi - lo
+    if span <= 0:
+        raise ValueError("empty interval")
+    return ks_statistic(samples, lambda v: np.clip((v - lo) / span, 0.0, 1.0))
 
 
 def apm_completeness(n_points: int) -> np.ndarray:

@@ -7,7 +7,6 @@ deterministic; tolerances leave room for the statistical fluctuation of
 the pinned stream, not for systematic error.
 """
 
-import json
 import math
 import os
 import subprocess
@@ -24,11 +23,11 @@ from railsim.protocols import (AnalyticBackend, PrepSpec,
                                apply_single_rail_unitary,
                                logical_target_fidelity, qubit_state,
                                run_protocol_trial, teleport_single_to_dual)
-from railsim.stats import chi2_gof_pvalue, ks_statistic, ks_uniform
+from railsim.stats import chi2_gof_pvalue, ks_statistic
 from railsim.trajectory import FeedbackPolicy, make_pulse, run_dyne_ensemble
 
 from current_profile import mean_current_profile
-from paper_checks import apm_completeness
+from paper_checks import apm_completeness, ks_uniform
 
 RT2 = 1.0 / math.sqrt(2.0)
 

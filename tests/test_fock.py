@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from railsim import fock
 from railsim.fock import (PureState, TruncationError, apply_phase, fidelity,
                           fock_state, inner, project_mode, single_photon,
                           tensor, vacuum)
@@ -20,31 +21,65 @@ def test_basis_state_roundtrip():
     assert np.isclose(st_.norm_sq(), 1.0)
 
 
+class _ListKeys(dict):
+    """Amplitudes whose occupations come back as lists, which the
+    validation memo cannot key on."""
+
+    def items(self):
+        return [(list(occ), amp) for occ, amp in super().items()]
+
+
+# Each key below is validated twice with tuple occupations (the second
+# call hits the memo wherever the first stored a result) and once with
+# list occupations (the unmemoized path).
+KEY_FORMS = (dict, dict, _ListKeys)
+
+
 def test_occupation_cap_rejected():
     with pytest.raises(TruncationError):
         fock_state((3,), n_max=2)
+    for form in KEY_FORMS:
+        with pytest.raises(TruncationError):
+            PureState(1, form({(3,): 1.0}), n_max=2)
+    # The caps are part of the memo key.
+    assert PureState(1, {(3,): 1.0}, n_max=3).amp((3,)) == 1.0
 
 
 def test_total_photon_cap_rejected():
-    with pytest.raises(TruncationError):
-        PureState(3, {(2, 2, 1): 1.0}, n_max=2, n_total_max=4)
+    for form in KEY_FORMS:
+        with pytest.raises(TruncationError):
+            PureState(3, form({(2, 2, 1): 1.0}), n_max=2, n_total_max=4)
 
 
 def test_negative_occupation_rejected():
-    with pytest.raises(ValueError):
-        PureState(1, {(-1,): 1.0})
+    for form in KEY_FORMS:
+        with pytest.raises(ValueError, match="negative"):
+            PureState(1, form({(-1,): 1.0}))
 
 
 def test_wrong_occupation_length_rejected():
-    with pytest.raises(ValueError):
-        PureState(2, {(1,): 1.0})
+    for form in KEY_FORMS:
+        with pytest.raises(ValueError, match="wrong length"):
+            PureState(2, form({(1,): 1.0}))
 
 
 def test_cancelled_amplitudes_prune_before_cap_check():
     # amplitudes below the pruning floor must not trip the caps even if
     # their occupations would violate them
-    st_ = PureState(1, {(0,): 1.0, (4,): 1e-16}, n_max=2)
-    assert st_.amp((4,)) == 0.0
+    for form in KEY_FORMS:
+        st_ = PureState(1, form({(0,): 1.0, (4,): 1e-16}), n_max=2)
+        assert st_.amp((4,)) == 0.0
+        assert st_.amp((0,)) == 1.0
+        # The memo holds the key's cap decision, not the pruning.
+        with pytest.raises(TruncationError):
+            PureState(1, form({(4,): 1.0}), n_max=2)
+
+
+def test_validation_memo_is_bounded():
+    n = fock._OCC_MEMO_SIZE + 10
+    st_ = PureState(1, {(k,): 1.0 for k in range(n)}, n_max=n, n_total_max=n)
+    assert len(st_.amplitudes) == n
+    assert len(fock._OCC_MEMO) <= fock._OCC_MEMO_SIZE
 
 
 def test_normalized_and_scaled():

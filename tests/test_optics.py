@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from railsim.fock import PureState, fidelity, fock_state, vacuum
+from railsim.fock import PureState, fidelity, fock_state
 from railsim.optics import (BeamsplitterSpec, DualRailQubit, HADAMARD,
                             PAULI_X, PAULI_Z, SingleRailQubit, beamsplitter,
                             decompose_pair_unitary, dual_rail_bell,
@@ -119,8 +119,14 @@ def test_two_mode_unitary_targets_chosen_modes():
 
 
 def test_non_unitary_matrix_rejected():
-    with pytest.raises(ValueError):
-        two_mode_unitary(fock_state((1, 0)), 0, 1, np.array([[1.0, 0], [0, 2.0]]))
+    for bad in (2.0, math.nan, math.inf):
+        v = np.array([[1.0, 0], [0, bad]])
+        # Twice: the unitarity check is memoized and must raise both times.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not unitary"):
+                two_mode_unitary(fock_state((1, 0)), 0, 1, v)
+            with pytest.raises(ValueError, match="not unitary"):
+                decompose_pair_unitary(v)
 
 
 def test_beamsplitter_spec_validation():

@@ -47,3 +47,38 @@ def test_trajectory_and_povm_are_independent_oracles():
     trajectory, povm = package_imports("trajectory"), package_imports("povm")
     assert "povm" not in trajectory and "stats" not in trajectory
     assert "trajectory" not in povm
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(path: Path) -> list:
+    """Names that ``path`` imports at any depth and never reads.
+
+    A name listed in the module's ``__all__`` counts as read.
+    """
+    tree = ast.parse(path.read_text())
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    files = sorted(p for d in ("src", "tests", "perfbench")
+                   for p in (ROOT / d).rglob("*.py"))
+    assert files
+    assert [u for p in files for u in unused_imports(p)] == []

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railsim.fock import PureState, fidelity, fock_state, single_photon, vacuum
 from railsim.optics import BeamsplitterSpec, beamsplitter
-from railsim.povm import (ApmDensity, OverOccupiedError, apm_density,
+from railsim.povm import (ApmDensity, OverOccupiedError, _apm_pdf, apm_density,
                           apm_sample, homodyne_cdf, homodyne_density,
                           homodyne_sample, make_grid, photon_count, quad_psi)
 
@@ -89,7 +91,20 @@ def test_phase_sample_posterior_keeps_rest_amplitudes():
     target = PureState(1, {(0,): np.exp(-1j * theta), (1,): 1.0}).normalized()
     assert np.isclose(fidelity(out.posterior, target), 1.0, atol=1e-12)
     assert 0.0 <= theta < 2 * math.pi
-    assert np.isclose(out.density, apm_density(state, 0)(theta))
+    # The sampler's scalar density is the array density's float exactly.
+    for state in (state, plus_state(0.9), plus_state(4.0)):
+        for _ in range(50):
+            out = apm_sample(state, 0, rng)
+            assert out.density == float(apm_density(state, 0)(out.value))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(0.0, 0.5), st.floats(0.0, 2 * math.pi, exclude_max=True),
+       st.floats(0.0, 2 * math.pi, exclude_max=True))
+def test_scalar_phase_density_equals_array_density(r, arg, theta):
+    # |z| <= 1/2 covers every APM input; apm_density returns a numpy z.
+    z = r * complex(math.cos(arg), math.sin(arg))
+    assert _apm_pdf(z, theta) == float(ApmDensity(np.complex128(z))(theta))
 
 
 def test_phase_sample_mean_direction_estimates_overlap():

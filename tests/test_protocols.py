@@ -24,12 +24,11 @@ from railsim.protocols import (AnalyticBackend, PrepSpec, TrajectoryBackend,
                                prepare_arbitrary, qubit_state,
                                run_protocol_trial, teleport_single_to_dual)
 from railsim.runner import trial_rng
-from railsim.stats import ks_uniform
 from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
                                 _evolve, _reduce_measured_mode)
 
 from logical_state import logical_state
-from paper_checks import homodyne_prep_comparison
+from paper_checks import homodyne_prep_comparison, ks_uniform
 
 RT2 = 1.0 / math.sqrt(2.0)
 
