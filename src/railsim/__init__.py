@@ -9,12 +9,11 @@ from .optics import (HADAMARD, IDENTITY, PAULI_X, PAULI_Z, BeamsplitterSpec,
 from .povm import (ApmDensity, MeasurementOutcome, OverOccupiedError,
                    QuadratureGrid, apm_density, apm_sample, homodyne_cdf,
                    homodyne_density, homodyne_sample, make_grid, photon_count)
-from .protocols import (AnalyticBackend, BsmOutcome, GateOutcome, PrepSpec,
-                        TrajectoryBackend, apply_single_rail_unitary,
-                        bell_measurement_single_rail, dual_to_single,
-                        hybrid_bell, logical_target_fidelity,
+from .protocols import (BsmOutcome, GateOutcome, PrepSpec,
+                        apply_single_rail_unitary, bell_measurement_single_rail,
+                        dual_to_single, hybrid_bell, logical_target_fidelity,
                         prepare_arbitrary, qubit_state, run_protocol_trial,
-                        teleport_single_to_dual)
+                        teleport_single_to_dual, trajectory_apm)
 from .runner import trial_rng, worker_count
 from .trajectory import (EnsembleResult, FeedbackPolicy, PulseShape,
                          TrajectoryDivergedError, TrajectoryRecord,
@@ -32,12 +31,11 @@ __all__ = [
     "ApmDensity", "MeasurementOutcome", "OverOccupiedError", "QuadratureGrid",
     "apm_density", "apm_sample", "homodyne_cdf", "homodyne_density",
     "homodyne_sample", "make_grid", "photon_count",
-    "AnalyticBackend", "BsmOutcome", "GateOutcome", "PrepSpec",
-    "TrajectoryBackend", "apply_single_rail_unitary",
+    "BsmOutcome", "GateOutcome", "PrepSpec", "apply_single_rail_unitary",
     "bell_measurement_single_rail", "dual_to_single",
     "hybrid_bell", "logical_target_fidelity",
     "prepare_arbitrary", "qubit_state",
-    "run_protocol_trial", "teleport_single_to_dual",
+    "run_protocol_trial", "teleport_single_to_dual", "trajectory_apm",
     "trial_rng", "worker_count",
     "EnsembleResult", "FeedbackPolicy", "PulseShape",
     "TrajectoryDivergedError", "TrajectoryRecord",

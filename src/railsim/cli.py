@@ -27,11 +27,11 @@ import numpy as np
 
 from .fock import PureState, TruncationError, single_photon, vacuum
 from .optics import (BeamsplitterSpec, HADAMARD, IDENTITY, PAULI_X, PAULI_Z,
-                     beamsplitter, dual_rail_bell, single_rail_bell)
+                     beamsplitter, check_unitary, dual_rail_bell,
+                     single_rail_bell)
 from .povm import (OverOccupiedError, apm_density, apm_sample, homodyne_cdf,
                    photon_count)
-from .protocols import (AnalyticBackend, PrepSpec, TrajectoryBackend,
-                        run_protocol_trial)
+from .protocols import PrepSpec, run_protocol_trial, trajectory_apm
 from .runner import chunk_ranges, map_chunks, trial_rng, worker_count
 from .stats import chi2_gof_pvalue, ks_statistic
 from .trajectory import (FeedbackPolicy, TrajectoryDivergedError, make_pulse,
@@ -115,14 +115,9 @@ def parse_unitary(spec: str) -> np.ndarray:
         with open(key[len("file:"):]) as fh:
             raw = json.load(fh)
         try:
-            u = np.array([[_entry(c) for c in row] for row in raw], dtype=complex)
+            return check_unitary([[_entry(c) for c in row] for row in raw])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad unitary file: {exc}") from None
-        if u.shape != (2, 2):
-            raise ConfigError(f"unitary must be 2x2, got shape {u.shape}")
-        if not np.allclose(u.conj().T @ u, np.eye(2), atol=1e-10):
-            raise ConfigError("matrix is not unitary within 1e-10")
-        return u
     raise ConfigError(f"unknown unitary {spec!r}")
 
 
@@ -216,9 +211,9 @@ def _count_chunk(bounds, state, modes, seed):
     return out
 
 
-def _protocol_chunk(bounds, protocol, backend, seed, **target):
+def _protocol_chunk(bounds, protocol, apm, seed, **target):
     start, stop = bounds
-    return [run_protocol_trial(protocol, backend, seed, i, **target)
+    return [run_protocol_trial(protocol, apm, seed, i, **target)
             for i in range(start, stop)]
 
 
@@ -336,14 +331,14 @@ def cmd_sample(args):
     return run_homodyne
 
 
-def _protocol_backend(args, config):
-    """Measurement backend of a prep or gate run; records it in config."""
+def _protocol_apm(args, config):
+    """Phase measurement of a prep or gate run; records it in config."""
     config["backend"] = args.backend
     if args.backend == "analytic":
-        return AnalyticBackend()
+        return apm_sample
     pulse = make_pulse(args.pulse, dt=float(args.dt))
     config.update({"dt": pulse.dt, "pulse": pulse.kind})
-    return TrajectoryBackend(pulse)
+    return partial(trajectory_apm, pulse=pulse)
 
 
 def cmd_prep(args):
@@ -352,11 +347,11 @@ def cmd_prep(args):
     spec = _qubit_spec(args.alpha, args.phi)
     n, seed, threads = _common_ints(args)
     config = {"alpha": spec.alpha, "phi": spec.phi, "n": n, "seed": seed}
-    backend = _protocol_backend(args, config)
+    apm = _protocol_apm(args, config)
 
     def run():
         records = _run_chunked(partial(_protocol_chunk, protocol="prepare",
-                                       backend=backend, seed=seed, spec=spec),
+                                       apm=apm, seed=seed, spec=spec),
                                n, threads, PROTOCOL_CHUNK)
         _write_jsonl(args.jsonl, records)
         fids = [r["fidelity"] for r in records]
@@ -375,11 +370,11 @@ def cmd_gate(args):
     n, seed, threads = _common_ints(args)
     config = {"u": args.u.strip().lower(), "input": args.input.strip().lower(),
               "n": n, "seed": seed}
-    backend = _protocol_backend(args, config)
+    apm = _protocol_apm(args, config)
 
     def run():
         records = _run_chunked(partial(_protocol_chunk, protocol="gate",
-                                       backend=backend, seed=seed,
+                                       apm=apm, seed=seed,
                                        qubit=(c0, c1), u=u),
                                n, threads, PROTOCOL_CHUNK)
         _write_jsonl(args.jsonl, records)

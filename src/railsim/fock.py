@@ -1,7 +1,8 @@
 """Sparse pure states over a small number of optical modes.
 
-States live in a truncated Fock space: occupation per mode is capped at
-``n_max`` and the total photon number at ``n_total_max``.  Amplitudes are
+States live in one fixed truncated Fock space: occupation per mode is
+capped at ``N_MAX`` and the total photon number at ``N_TOTAL_MAX``, which
+covers every state the single-rail protocols reach.  Amplitudes are
 kept in a dict keyed by occupation tuples; anything below ``PRUNE_EPS``
 in squared magnitude is dropped so states stay sparse.  All operations
 are value-semantic and return new states.
@@ -19,24 +20,28 @@ PRUNE_EPS = 1e-14
 # Hard cap on the number of modes a state may carry.
 MAX_MODES = 12
 
+# Occupation caps: photons per mode, and photons in the whole state.
+N_MAX = 2
+N_TOTAL_MAX = 4
+
 _ZERO_WEIGHT = 1e-30
 
 
 class TruncationError(Exception):
-    """An operation would exceed the configured Fock-space capacity."""
+    """An operation would exceed the Fock-space capacity."""
 
 
-def _check_occupation(occ, n_modes: int, n_max: int, n_total_max: int) -> tuple:
+def _check_occupation(occ, n_modes: int) -> tuple:
     """(occ as a tuple of ints, whether it exceeds the caps)."""
     occ = tuple(map(int, occ))
     if len(occ) != n_modes:
         raise ValueError(f"occupation {occ} has wrong length for {n_modes} modes")
     if min(occ, default=0) < 0:
         raise ValueError(f"negative occupation in {occ}")
-    return occ, max(occ, default=0) > n_max or sum(occ) > n_total_max
+    return occ, max(occ, default=0) > N_MAX or sum(occ) > N_TOTAL_MAX
 
 
-# _check_occupation results for tuple keys, keyed on (occ, caps).  Errors
+# _check_occupation results for tuple keys, keyed on (occ, n_modes).  Errors
 # are never stored; the memo is emptied when it reaches _OCC_MEMO_SIZE.
 _OCC_MEMO: dict = {}
 _OCC_MEMO_SIZE = 4096
@@ -53,37 +58,28 @@ class PureState:
     amplitudes : dict
         Map from occupation tuples (length ``n_modes``) to complex
         amplitudes.  Not required to be normalized.
-    n_max : int
-        Per-mode occupation cap.
-    n_total_max : int
-        Total photon number cap.
     """
 
     n_modes: int
     amplitudes: dict = field(default_factory=dict)
-    n_max: int = 2
-    n_total_max: int = 4
 
     def __post_init__(self):
-        n_modes, n_max, n_total_max = self.n_modes, self.n_max, self.n_total_max
+        n_modes = self.n_modes
         if not 0 <= n_modes <= MAX_MODES:
             raise ValueError(f"n_modes must be in [0, {MAX_MODES}], got {n_modes}")
-        if n_max < 0 or n_total_max < 0:
-            raise ValueError("occupation caps must be non-negative")
-        caps = (n_modes, n_max, n_total_max)
         memo = _OCC_MEMO
         cleaned = {}
         for occ, amp in self.amplitudes.items():
             if type(occ) is tuple:
-                key = (occ, caps)
+                key = (occ, n_modes)
                 checked = memo.get(key)
                 if checked is None:
-                    checked = _check_occupation(occ, *caps)
+                    checked = _check_occupation(occ, n_modes)
                     if len(memo) >= _OCC_MEMO_SIZE:
                         memo.clear()
                     memo[key] = checked
             else:
-                checked = _check_occupation(occ, *caps)
+                checked = _check_occupation(occ, n_modes)
             occ, over_caps = checked
             amp = complex(amp)
             if abs(amp) ** 2 < PRUNE_EPS:
@@ -92,8 +88,8 @@ class PureState:
                 continue
             if over_caps:
                 raise TruncationError(
-                    f"occupation {occ} exceeds caps n_max={n_max}, "
-                    f"n_total_max={n_total_max}"
+                    f"occupation {occ} exceeds caps N_MAX={N_MAX}, "
+                    f"N_TOTAL_MAX={N_TOTAL_MAX}"
                 )
             cleaned[occ] = amp
         self.amplitudes = cleaned
@@ -122,12 +118,7 @@ class PureState:
         return self.scaled(1.0 / n)
 
     def scaled(self, z: complex) -> "PureState":
-        return PureState(
-            self.n_modes,
-            {occ: z * a for occ, a in self.items()},
-            n_max=self.n_max,
-            n_total_max=self.n_total_max,
-        )
+        return PureState(self.n_modes, {occ: z * a for occ, a in self.items()})
 
     def __repr__(self):
         terms = ", ".join(f"{occ}: {a:.6g}" for occ, a in self.items()[:6])
@@ -135,24 +126,24 @@ class PureState:
         return f"PureState({self.n_modes} modes, {{{terms}{more}}})"
 
 
-def fock_state(occ: Sequence[int], n_max: int = 2, n_total_max: int = 4) -> PureState:
+def fock_state(occ: Sequence[int]) -> PureState:
     """Basis state |occ> with unit amplitude."""
     occ = tuple(int(n) for n in occ)
-    return PureState(len(occ), {occ: 1.0 + 0.0j}, n_max=n_max, n_total_max=n_total_max)
+    return PureState(len(occ), {occ: 1.0 + 0.0j})
 
 
-def vacuum(n_modes: int, n_max: int = 2, n_total_max: int = 4) -> PureState:
+def vacuum(n_modes: int) -> PureState:
     """Vacuum on ``n_modes`` modes."""
-    return fock_state((0,) * n_modes, n_max=n_max, n_total_max=n_total_max)
+    return fock_state((0,) * n_modes)
 
 
-def single_photon(mode: int, n_modes: int, n_max: int = 2, n_total_max: int = 4) -> PureState:
+def single_photon(mode: int, n_modes: int) -> PureState:
     """One photon in ``mode``, vacuum elsewhere."""
     if not 0 <= mode < n_modes:
         raise ValueError(f"mode {mode} out of range for {n_modes} modes")
     occ = [0] * n_modes
     occ[mode] = 1
-    return fock_state(occ, n_max=n_max, n_total_max=n_total_max)
+    return fock_state(occ)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -160,13 +151,11 @@ def tensor(a: PureState, b: PureState) -> PureState:
     n_modes = a.n_modes + b.n_modes
     if n_modes > MAX_MODES:
         raise TruncationError(f"tensor product would have {n_modes} > {MAX_MODES} modes")
-    n_max = max(a.n_max, b.n_max)
-    n_total_max = max(a.n_total_max, b.n_total_max)
     amps = {}
     for occ_a, amp_a in a.items():
         for occ_b, amp_b in b.items():
             amps[occ_a + occ_b] = amp_a * amp_b
-    return PureState(n_modes, amps, n_max=n_max, n_total_max=n_total_max)
+    return PureState(n_modes, amps)
 
 
 def inner(a: PureState, b: PureState) -> complex:
@@ -193,7 +182,7 @@ def apply_phase(state: PureState, mode: int, delta: float) -> PureState:
     amps = {}
     for occ, amp in state.items():
         amps[occ] = amp * complex(math.cos(occ[mode] * delta), math.sin(occ[mode] * delta))
-    return PureState(state.n_modes, amps, n_max=state.n_max, n_total_max=state.n_total_max)
+    return PureState(state.n_modes, amps)
 
 
 def project_mode(state: PureState, mode: int, bra_coeffs: Iterable[complex]):
@@ -216,8 +205,8 @@ def project_mode(state: PureState, mode: int, bra_coeffs: Iterable[complex]):
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
     bra = [complex(c) for c in bra_coeffs]
-    if len(bra) > state.n_max + 1:
-        raise ValueError(f"bra has {len(bra)} coefficients but n_max={state.n_max}")
+    if len(bra) > N_MAX + 1:
+        raise ValueError(f"bra has {len(bra)} coefficients but N_MAX={N_MAX}")
     amps = {}
     for occ, amp in state.items():
         n = occ[mode]
@@ -228,8 +217,7 @@ def project_mode(state: PureState, mode: int, bra_coeffs: Iterable[complex]):
             continue
         rest = occ[:mode] + occ[mode + 1:]
         amps[rest] = amps.get(rest, 0.0 + 0.0j) + c * amp
-    posterior = PureState(state.n_modes - 1, amps, n_max=state.n_max,
-                          n_total_max=state.n_total_max)
+    posterior = PureState(state.n_modes - 1, amps)
     weight = posterior.norm_sq()
     if weight < _ZERO_WEIGHT:
         raise ValueError("projection weight vanishes")

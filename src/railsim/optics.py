@@ -80,7 +80,9 @@ class BeamsplitterSpec:
         return np.array([[t, r], [r, -t]], dtype=complex)
 
 
-def _check_unitary(v: np.ndarray):
+def check_unitary(v) -> np.ndarray:
+    """``v`` as a complex 2x2 array; ValueError unless it is unitary
+    within ``UNITARITY_TOL`` (non-finite entries fail)."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {v.shape}")
@@ -98,8 +100,10 @@ def _matrix(key: bytes) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _check_unitary_bytes(key: bytes) -> None:
     v = _matrix(key)
-    err = np.max(np.abs(v.conj().T @ v - np.eye(2)))
-    # Written so that NaN fails the check.
+    # Non-finite entries give a NaN or inf deviation, which the test below
+    # (written so that NaN fails) rejects without a numpy warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = np.max(np.abs(v.conj().T @ v - np.eye(2)))
     if not err <= UNITARITY_TOL:
         raise ValueError(f"matrix is not unitary (deviation {err:.3g})")
 
@@ -109,9 +113,9 @@ def two_mode_unitary(state: PureState, m1: int, m2: int, v: np.ndarray) -> PureS
 
     Acts on each basis vector by binomial expansion of the transformed
     creation operators.  Raises TruncationError if a non-negligible
-    output amplitude would exceed the state's occupation caps.
+    output amplitude would exceed the Fock-space caps.
     """
-    v = _check_unitary(v)
+    v = check_unitary(v)
     if m1 == m2:
         raise ValueError("modes must be distinct")
     for m in (m1, m2):
@@ -125,7 +129,7 @@ def two_mode_unitary(state: PureState, m1: int, m2: int, v: np.ndarray) -> PureS
             out[m1], out[m2] = k1, k2
             out = tuple(out)
             amps[out] = amps.get(out, 0.0 + 0.0j) + amp * coeff
-    return PureState(state.n_modes, amps, n_max=state.n_max, n_total_max=state.n_total_max)
+    return PureState(state.n_modes, amps)
 
 
 @lru_cache(maxsize=1024)
@@ -166,7 +170,7 @@ def decompose_pair_unitary(m: np.ndarray):
     ``diag(e^{i b0}, e^{i b1}) @ B(eta) @ diag(e^{i g0}, e^{i g1})``
     reproduces ``m`` exactly (no leftover global phase).
     """
-    m = _check_unitary(m)
+    m = check_unitary(m)
     eta = min(1.0, max(0.0, abs(m[0, 0]) ** 2))
     if eta > 1.0 - 1e-12:
         # Diagonal: B(1) = diag(1, -1).
@@ -188,7 +192,7 @@ def dual_rail_unitary(state: PureState, qubit: DualRailQubit, u: np.ndarray) -> 
     On the logical subspace amplitudes transform by ``u``; other photon
     number sectors transform as the same optics dictates.
     """
-    u = _check_unitary(u)
+    u = check_unitary(u)
     g0, g1, eta, b0, b1 = _dual_rail_layers(u.tobytes())
     r0, r1 = qubit.rail0, qubit.rail1
     out = apply_phase(state, r0, g0)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import PureState, project_mode
+from .fock import N_MAX, PureState, project_mode
 from .stats import trapezoid_cdf
 
 GRID_X_MIN = -8.0
@@ -40,14 +40,12 @@ class OverOccupiedError(Exception):
 class MeasurementOutcome:
     """One sampled measurement result.
 
-    ``kind`` is "count", "homodyne" or "apm"; ``value`` is the count
-    tuple, the quadrature value, or the phase estimate respectively.
-    ``density`` is the probability (mass or density) of the outcome and
-    ``posterior`` the normalized conditional state with the measured
-    mode(s) removed.
+    ``value`` is the count tuple, the quadrature value, or the phase
+    estimate.  ``density`` is the probability (mass or density) of the
+    outcome and ``posterior`` the normalized conditional state with the
+    measured mode(s) removed.
     """
 
-    kind: str
     value: object
     posterior: PureState
     density: float
@@ -105,7 +103,7 @@ def _mode_groups(state: PureState, mode: int) -> dict:
         rest = occ[:mode] + occ[mode + 1:]
         vec = groups.get(rest)
         if vec is None:
-            vec = np.zeros(state.n_max + 1, dtype=complex)
+            vec = np.zeros(N_MAX + 1, dtype=complex)
             groups[rest] = vec
         vec[occ[mode]] += amp
     return groups
@@ -138,10 +136,10 @@ def photon_count(state: PureState, modes, rng: np.random.Generator) -> Measureme
             break
     posterior = state
     for m, c in sorted(zip(modes, counts), reverse=True):
-        bra = [0.0] * (posterior.n_max + 1)
+        bra = [0.0] * (N_MAX + 1)
         bra[c] = 1.0
         _, posterior = project_mode(posterior, m, bra)
-    return MeasurementOutcome(kind="count", value=counts, posterior=posterior,
+    return MeasurementOutcome(value=counts, posterior=posterior,
                               density=probs[counts])
 
 
@@ -153,9 +151,9 @@ def homodyne_density(state: PureState, mode: int, phi: float = 0.0):
     """
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
-    grid = make_grid(state.n_max)
+    grid = make_grid(N_MAX)
     groups = _mode_groups(state, mode)
-    phases = np.exp(-1j * phi * np.arange(state.n_max + 1))
+    phases = np.exp(-1j * phi * np.arange(N_MAX + 1))
     density = np.zeros_like(grid.x)
     for rest in sorted(groups):
         wave = (groups[rest] * phases) @ grid.psi
@@ -184,12 +182,12 @@ def homodyne_sample(state: PureState, mode: int, phi: float,
     psi_n(x) e^{-i n phi}.
     """
     grid_x, density, cdf = homodyne_cdf(state, mode, phi)
-    phases = np.exp(-1j * phi * np.arange(state.n_max + 1))
+    phases = np.exp(-1j * phi * np.arange(N_MAX + 1))
     x_val = float(np.interp(rng.random() * cdf[-1], cdf, grid_x))
-    bra = quad_psi(state.n_max, x_val) * phases
+    bra = quad_psi(N_MAX, x_val) * phases
     _, posterior = project_mode(state, mode, bra)
     p_val = float(np.interp(x_val, grid_x, density))
-    return MeasurementOutcome(kind="homodyne", value=x_val, posterior=posterior,
+    return MeasurementOutcome(value=x_val, posterior=posterior,
                               density=p_val)
 
 
@@ -262,4 +260,4 @@ def apm_sample(state: PureState, mode: int, rng: np.random.Generator) -> Measure
             break
     bra = (1.0, cmath.exp(-1j * theta))
     _, posterior = project_mode(state, mode, bra)
-    return MeasurementOutcome(kind="apm", value=theta, posterior=posterior, density=p)
+    return MeasurementOutcome(value=theta, posterior=posterior, density=p)

@@ -1,9 +1,11 @@
 """State preparation and teleported-gate protocols on optical qubits.
 
-Every protocol takes a measurement backend so the same procedure can
-run against the analytic phase POVM or the time-domain trajectory
-simulation.  Phase-measurement outcomes feed forward into phase
-shifters; detector outcomes select teleportation branches.
+Every protocol takes the adaptive phase measurement as a function
+``apm(state, mode, rng) -> MeasurementOutcome``, so the same procedure
+runs against the analytic phase POVM (``apm_sample``) or the
+time-domain trajectory simulation (``trajectory_apm``).
+Phase-measurement outcomes feed forward into phase shifters; detector
+outcomes select teleportation branches.
 
 Conventions fixed here (derived under the package's beamsplitter
 convention and frozen):
@@ -30,6 +32,16 @@ from .povm import (MeasurementOutcome, OverOccupiedError, apm_density,
 from .runner import trial_rng
 from .trajectory import FeedbackPolicy, PulseShape, simulate_dyne
 
+# apm_sample is re-exported: it and trajectory_apm are the two APM
+# functions a protocol takes.
+__all__ = [
+    "PrepSpec", "apm_sample", "trajectory_apm", "prepare_arbitrary",
+    "dual_to_single", "hybrid_bell", "BsmOutcome", "GateOutcome",
+    "bell_measurement_single_rail", "teleport_single_to_dual",
+    "apply_single_rail_unitary", "qubit_state", "logical_target_fidelity",
+    "run_protocol_trial",
+]
+
 
 @dataclass(frozen=True)
 class PrepSpec:
@@ -53,45 +65,20 @@ class PrepSpec:
         return PureState(1, {(0,): c0, (1,): c1})
 
 
-class AnalyticBackend:
-    """Measurements sampled from their exact outcome distributions."""
-
-    def apm(self, state: PureState, mode: int, rng) -> MeasurementOutcome:
-        return apm_sample(state, mode, rng)
-
-
-@dataclass
-class TrajectoryBackend:
-    """Measurements realized by simulated dyne trajectories."""
-
-    pulse: PulseShape
-
-    def apm(self, state: PureState, mode: int, rng) -> MeasurementOutcome:
-        # The trajectory realizes the phase POVM only on the <=1 photon
-        # subspace; enforce the same precondition as the analytic path.
-        dens = apm_density(state, mode)
-        record, posterior = simulate_dyne(state, mode, self.pulse,
-                                          FeedbackPolicy.adaptive(), rng,
-                                          keep_series=False)
-        return MeasurementOutcome(kind="apm", value=record.theta,
-                                  posterior=posterior,
-                                  density=float(dens(record.theta)))
+def trajectory_apm(state: PureState, mode: int, rng,
+                   pulse: PulseShape) -> MeasurementOutcome:
+    """The APM realized by one adaptively fed-back dyne trajectory."""
+    # The trajectory realizes the phase POVM only on the <=1 photon
+    # subspace; enforce the same precondition as the analytic path.
+    dens = apm_density(state, mode)
+    record, posterior = simulate_dyne(state, mode, pulse,
+                                      FeedbackPolicy.adaptive(), rng,
+                                      keep_series=False)
+    return MeasurementOutcome(value=record.theta, posterior=posterior,
+                              density=float(dens(record.theta)))
 
 
-class _RecordingBackend:
-    """Delegating wrapper that keeps the phase outcomes of a trial."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.theta_values: list = []
-
-    def apm(self, state, mode, rng):
-        out = self.inner.apm(state, mode, rng)
-        self.theta_values.append(float(out.value))
-        return out
-
-
-def prepare_arbitrary(spec: PrepSpec, backend, rng) -> PureState:
+def prepare_arbitrary(spec: PrepSpec, apm, rng) -> PureState:
     """Produce alpha |0> + e^{-i phi} sqrt(1-alpha^2) |1> deterministically.
 
     A single photon hits a beamsplitter of transmittance alpha^2; the
@@ -100,7 +87,7 @@ def prepare_arbitrary(spec: PrepSpec, backend, rng) -> PureState:
     """
     state = single_photon(0, 2)
     state = beamsplitter(state, BeamsplitterSpec(0, 1, spec.alpha * spec.alpha))
-    out = backend.apm(state, 0, rng)
+    out = apm(state, 0, rng)
     return apply_phase(out.posterior, 0, -(out.value + spec.phi))
 
 
@@ -114,7 +101,7 @@ def _check_dual_occupancy(state: PureState, q: DualRailQubit):
         )
 
 
-def dual_to_single(state: PureState, q: DualRailQubit, backend, rng):
+def dual_to_single(state: PureState, q: DualRailQubit, apm, rng):
     """Convert a dual-rail qubit to single-rail, deterministically.
 
     Phase-measures rail1 (outcome theta) and applies -theta to rail0;
@@ -122,13 +109,13 @@ def dual_to_single(state: PureState, q: DualRailQubit, backend, rng):
     indices above the removed rail shift down by one.
     """
     _check_dual_occupancy(state, q)
-    out = backend.apm(state, q.rail1, rng)
+    out = apm(state, q.rail1, rng)
     new_mode = q.rail0 - 1 if q.rail0 > q.rail1 else q.rail0
     post = apply_phase(out.posterior, new_mode, -out.value)
     return post, SingleRailQubit(new_mode)
 
 
-def hybrid_bell(backend, rng):
+def hybrid_bell(apm, rng):
     """Entangle a single-rail qubit with a dual-rail qubit.
 
     Converts one half of a dual-rail Bell pair to single rail, leaving
@@ -136,7 +123,7 @@ def hybrid_bell(backend, rng):
     (state, SingleRailQubit, DualRailQubit).
     """
     bell = dual_rail_bell()
-    state, single = dual_to_single(bell, DualRailQubit(0, 1), backend, rng)
+    state, single = dual_to_single(bell, DualRailQubit(0, 1), apm, rng)
     return state, single, DualRailQubit(1, 2)
 
 
@@ -190,7 +177,7 @@ def bell_measurement_single_rail(state: PureState, m1: int, m2: int, rng):
     return BsmOutcome(kind=kind, counts=counts), out.posterior
 
 
-def teleport_single_to_dual(state: PureState, q: SingleRailQubit, backend, rng) -> GateOutcome:
+def teleport_single_to_dual(state: PureState, q: SingleRailQubit, apm, rng) -> GateOutcome:
     """Teleport a single-rail qubit onto a dual-rail qubit.
 
     Builds the hybrid Bell resource, Bell-measures the input against
@@ -200,7 +187,7 @@ def teleport_single_to_dual(state: PureState, q: SingleRailQubit, backend, rng) 
     """
     if not 0 <= q.mode < state.n_modes:
         raise ValueError(f"qubit mode {q.mode} out of range")
-    resource, s_half, _ = hybrid_bell(backend, rng)
+    resource, s_half, _ = hybrid_bell(apm, rng)
     offset = state.n_modes
     joint = tensor(state, resource)
     bsm, post = bell_measurement_single_rail(joint, q.mode, offset + s_half.mode, rng)
@@ -216,18 +203,18 @@ def teleport_single_to_dual(state: PureState, q: SingleRailQubit, backend, rng) 
 
 
 def apply_single_rail_unitary(state: PureState, q: SingleRailQubit,
-                              u: np.ndarray, backend, rng) -> GateOutcome:
+                              u: np.ndarray, apm, rng) -> GateOutcome:
     """Arbitrary single-qubit rotation by teleport, rotate, convert back.
 
     The dual-rail rotation itself is deterministic; the only
     non-deterministic step is the Bell measurement, so the pipeline
     succeeds with probability 1/2.
     """
-    tele = teleport_single_to_dual(state, q, backend, rng)
+    tele = teleport_single_to_dual(state, q, apm, rng)
     if not tele.success:
         return tele
     rotated = dual_rail_unitary(tele.state, tele.qubit, u)
-    final, single = dual_to_single(rotated, tele.qubit, backend, rng)
+    final, single = dual_to_single(rotated, tele.qubit, apm, rng)
     return GateOutcome(success=True, state=final, qubit=single, bsm=tele.bsm)
 
 
@@ -250,12 +237,11 @@ def logical_target_fidelity(state: PureState, qubit, c0: complex, c1: complex) -
     else:
         occ0[qubit.rail1] = 1
         occ1[qubit.rail0] = 1
-    target = PureState(state.n_modes, {tuple(occ0): c0, tuple(occ1): c1},
-                       n_max=state.n_max, n_total_max=state.n_total_max)
+    target = PureState(state.n_modes, {tuple(occ0): c0, tuple(occ1): c1})
     return fidelity(state, target)
 
 
-def run_protocol_trial(protocol: str, backend, master_seed: int,
+def run_protocol_trial(protocol: str, apm, master_seed: int,
                        trial_index: int, spec: PrepSpec | None = None,
                        qubit: tuple | None = None,
                        u: np.ndarray | None = None) -> dict:
@@ -263,10 +249,17 @@ def run_protocol_trial(protocol: str, backend, master_seed: int,
 
     ``prepare`` takes the target ``spec``; ``teleport`` takes the input
     amplitudes ``qubit = (c0, c1)``; ``gate`` takes ``qubit`` and the
-    2x2 unitary ``u``.
+    2x2 unitary ``u``.  The record keeps the phase outcomes of ``apm``
+    in call order.
     """
     rng = trial_rng(master_seed, trial_index)
-    backend = _RecordingBackend(backend)
+    theta_values = []
+
+    def recorded_apm(state, mode, rng):
+        out = apm(state, mode, rng)
+        theta_values.append(float(out.value))
+        return out
+
     record = {
         "protocol": protocol,
         "seed": [master_seed, trial_index],
@@ -276,17 +269,18 @@ def run_protocol_trial(protocol: str, backend, master_seed: int,
         "fidelity": None,
     }
     if protocol == "prepare":
-        out = prepare_arbitrary(spec, backend, rng)
+        out = prepare_arbitrary(spec, recorded_apm, rng)
         record["fidelity"] = float(fidelity(out, spec.target()))
     elif protocol in ("teleport", "gate"):
         c0, c1 = qubit
         state = qubit_state(c0, c1)
         if protocol == "teleport":
-            out = teleport_single_to_dual(state, SingleRailQubit(0), backend, rng)
+            out = teleport_single_to_dual(state, SingleRailQubit(0),
+                                          recorded_apm, rng)
             t0, t1 = c0, c1
         else:
             out = apply_single_rail_unitary(state, SingleRailQubit(0), u,
-                                            backend, rng)
+                                            recorded_apm, rng)
             t0, t1 = u @ np.array([c0, c1])
         record["success"] = bool(out.success)
         record["counts"] = [int(c) for c in out.bsm.counts] if out.bsm else None
@@ -296,5 +290,5 @@ def run_protocol_trial(protocol: str, backend, master_seed: int,
                 out.state, out.qubit, t0, t1))
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    record["theta_values"] = backend.theta_values
+    record["theta_values"] = theta_values
     return record

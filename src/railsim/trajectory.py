@@ -416,8 +416,7 @@ def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
     res = _evolve(a0[None, :, :], noise[None, :], pulse, policy,
                   keep_series=keep_series)
     posterior_amps = dict(zip(rest_occs, res.a_final[0, 0, :]))
-    posterior = PureState(state.n_modes - 1, posterior_amps,
-                          n_max=state.n_max, n_total_max=state.n_total_max).normalized()
+    posterior = PureState(state.n_modes - 1, posterior_amps).normalized()
     record = TrajectoryRecord(
         theta=float(res.theta[0]),
         x=float(res.x[0]),

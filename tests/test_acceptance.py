@@ -19,7 +19,7 @@ from railsim.fock import PureState, single_photon, vacuum
 from railsim.optics import (BeamsplitterSpec, HADAMARD, SingleRailQubit,
                             beamsplitter)
 from railsim.povm import apm_sample, homodyne_cdf
-from railsim.protocols import (AnalyticBackend, PrepSpec,
+from railsim.protocols import (PrepSpec,
                                apply_single_rail_unitary,
                                logical_target_fidelity, qubit_state,
                                run_protocol_trial, teleport_single_to_dual)
@@ -85,7 +85,7 @@ def test_04_preparation_succeeds_deterministically():
     for i in range(n):
         spec = PrepSpec(alpha=float(rng.random()),
                         phi=float(rng.random() * 2.0 * math.pi))
-        rec = run_protocol_trial("prepare", AnalyticBackend(), 43, i, spec=spec)
+        rec = run_protocol_trial("prepare", apm_sample, 43, i, spec=spec)
         successes += rec["success"]
         fids.append(rec["fidelity"])
     ok = successes == n and min(fids) >= 1.0 - 1e-10
@@ -157,7 +157,6 @@ def test_07_mean_current_tracks_pulse_envelope():
 
 
 def test_08_teleportation_success_statistics():
-    b = AnalyticBackend()
     rng = np.random.default_rng(29)
     n = 10_000
     succ, min_fid = 0, 1.0
@@ -168,7 +167,7 @@ def test_08_teleportation_success_statistics():
         norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
         c0, c1 = c0 / norm, c1 / norm
         out = teleport_single_to_dual(qubit_state(c0, c1), SingleRailQubit(0),
-                                      b, rng)
+                                      apm_sample, rng)
         if out.success:
             succ += 1
             min_fid = min(min_fid, logical_target_fidelity(
@@ -176,7 +175,7 @@ def test_08_teleportation_success_statistics():
     rate = succ / n
     rng = np.random.default_rng(31)
     fz = sum(teleport_single_to_dual(qubit_state(0.6, 0.8), SingleRailQubit(0),
-                                     b, rng).bsm.kind == "fail_zero"
+                                     apm_sample, rng).bsm.kind == "fail_zero"
              for _ in range(n)) / n
     band = 3.0 * math.sqrt(0.18 * 0.82 / n)
     ok = 0.485 <= rate <= 0.515 and min_fid >= 1.0 - 1e-12 \
@@ -188,14 +187,13 @@ def test_08_teleportation_success_statistics():
 
 
 def test_09_teleported_hadamard_and_composition():
-    b = AnalyticBackend()
     rng = np.random.default_rng(37)
     n = 10_000
     state = qubit_state(1.0, 0.0)
     succ, min_fid = 0, 1.0
     for _ in range(n):
         out = apply_single_rail_unitary(state, SingleRailQubit(0), HADAMARD,
-                                        b, rng)
+                                        apm_sample, rng)
         if out.success:
             succ += 1
             min_fid = min(min_fid, logical_target_fidelity(
@@ -208,10 +206,10 @@ def test_09_teleported_hadamard_and_composition():
     checked = 0
     while checked < 20:
         first = apply_single_rail_unitary(state, SingleRailQubit(0), HADAMARD,
-                                          b, rng)
+                                          apm_sample, rng)
         if not first.success:
             continue
-        second = apply_single_rail_unitary(first.state, first.qubit, v, b, rng)
+        second = apply_single_rail_unitary(first.state, first.qubit, v, apm_sample, rng)
         if not second.success:
             continue
         checked += 1

@@ -251,7 +251,11 @@ def test_gate_unitary_from_file(capsys, tmp_path):
     assert summary["results"]["fidelity_min"] > 1.0 - 1e-9
     path.write_text(json.dumps([[1.0, 1.0], [0.0, 1.0]]))
     assert main(["gate", "--u", f"file:{path}"]) == 2
-    capsys.readouterr()
+    # Off by 3e-6: close to unitary, but not within the 1e-10 that every
+    # gate requires, so it must fail at set-up rather than mid-run.
+    path.write_text(json.dumps([[math.sqrt(1.0 + 3e-6), 0.0], [0.0, 1.0]]))
+    assert main(["gate", "--u", f"file:{path}"]) == 2
+    assert "not unitary" in capsys.readouterr().err
 
 
 # ---- trajectory command ----

@@ -37,18 +37,16 @@ KEY_FORMS = (dict, dict, _ListKeys)
 
 def test_occupation_cap_rejected():
     with pytest.raises(TruncationError):
-        fock_state((3,), n_max=2)
+        fock_state((fock.N_MAX + 1,))
     for form in KEY_FORMS:
         with pytest.raises(TruncationError):
-            PureState(1, form({(3,): 1.0}), n_max=2)
-    # The caps are part of the memo key.
-    assert PureState(1, {(3,): 1.0}, n_max=3).amp((3,)) == 1.0
+            PureState(1, form({(fock.N_MAX + 1,): 1.0}))
 
 
 def test_total_photon_cap_rejected():
     for form in KEY_FORMS:
         with pytest.raises(TruncationError):
-            PureState(3, form({(2, 2, 1): 1.0}), n_max=2, n_total_max=4)
+            PureState(3, form({(2, 2, 1): 1.0}))
 
 
 def test_negative_occupation_rejected():
@@ -67,18 +65,21 @@ def test_cancelled_amplitudes_prune_before_cap_check():
     # amplitudes below the pruning floor must not trip the caps even if
     # their occupations would violate them
     for form in KEY_FORMS:
-        st_ = PureState(1, form({(0,): 1.0, (4,): 1e-16}), n_max=2)
+        st_ = PureState(1, form({(0,): 1.0, (4,): 1e-16}))
         assert st_.amp((4,)) == 0.0
         assert st_.amp((0,)) == 1.0
         # The memo holds the key's cap decision, not the pruning.
         with pytest.raises(TruncationError):
-            PureState(1, form({(4,): 1.0}), n_max=2)
+            PureState(1, form({(4,): 1.0}))
 
 
 def test_validation_memo_is_bounded():
+    # Over-cap keys at negligible amplitude are memoized, then pruned.
     n = fock._OCC_MEMO_SIZE + 10
-    st_ = PureState(1, {(k,): 1.0 for k in range(n)}, n_max=n, n_total_max=n)
-    assert len(st_.amplitudes) == n
+    st_ = PureState(1, {(k,): 1.0 if k <= fock.N_MAX else 1e-16
+                        for k in range(n)})
+    assert sorted(st_.amplitudes) == [(k,) for k in range(fock.N_MAX + 1)]
+    assert ((n - 1,), 1) in fock._OCC_MEMO
     assert len(fock._OCC_MEMO) <= fock._OCC_MEMO_SIZE
 
 
@@ -100,6 +101,12 @@ def test_tensor_appends_modes():
     joint = tensor(single_photon(0, 1), vacuum(2))
     assert joint.n_modes == 3
     assert joint.amp((1, 0, 0)) == 1.0
+
+
+def test_tensor_beyond_total_cap_raises():
+    # Each factor is within the caps; their 5 photons exceed N_TOTAL_MAX.
+    with pytest.raises(TruncationError, match="N_TOTAL_MAX=4"):
+        tensor(fock_state((2, 1)), fock_state((2,)))
 
 
 def test_inner_is_conjugate_linear_in_first_argument():
@@ -159,7 +166,7 @@ def test_project_mode_applies_bra_as_given():
 
 def test_project_mode_vanishing_weight_raises():
     with pytest.raises(ValueError):
-        project_mode(fock_state((0,), n_max=2), 0, [0.0, 1.0])
+        project_mode(fock_state((0,)), 0, [0.0, 1.0])
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=5, allow_nan=False,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from railsim.fock import PureState, fidelity, fock_state
+from railsim.fock import PureState, TruncationError, fidelity, fock_state
 from railsim.optics import (BeamsplitterSpec, DualRailQubit, HADAMARD,
                             PAULI_X, PAULI_Z, SingleRailQubit, beamsplitter,
                             decompose_pair_unitary, dual_rail_bell,
@@ -57,17 +57,26 @@ def random_unitary(rng) -> np.ndarray:
     return sla.expm(1j * h)
 
 
-@pytest.mark.parametrize("occ", [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("occ", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
 def test_two_mode_unitary_matches_dense_oracle(occ):
     rng = np.random.default_rng(123)
     for _ in range(5):
         v = random_unitary(rng)
-        state = fock_state(occ, n_max=3, n_total_max=6)
+        state = fock_state(occ)
         got = two_mode_unitary(state, 0, 1, v)
         want = dense_two_mode(v, occ)
         for k, amp in want.items():
             assert np.isclose(got.amp(k), amp, atol=1e-10), (occ, k)
         assert np.isclose(got.norm_sq(), 1.0, atol=1e-10)
+
+
+def test_two_mode_unitary_beyond_caps_raises():
+    # |2, 1> fits the caps, but its images reach |3, 0> and |0, 3>.
+    rng = np.random.default_rng(123)
+    for _ in range(5):
+        v = random_unitary(rng)
+        with pytest.raises(TruncationError):
+            two_mode_unitary(fock_state((2, 1)), 0, 1, v)
 
 
 def test_beamsplitter_matrix_convention():

@@ -8,6 +8,7 @@ protocol runs bit-for-bit while running orders of magnitude faster.
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from railsim.fock import PureState, apply_phase, fidelity, tensor, vacuum
 from railsim.optics import (DualRailQubit, HADAMARD, IDENTITY,
                             SingleRailQubit, dual_rail_bell,
                             dual_rail_unitary)
-from railsim.povm import OverOccupiedError, photon_count
-from railsim.protocols import (AnalyticBackend, PrepSpec, TrajectoryBackend,
-                               apply_single_rail_unitary,
+from railsim.povm import (MeasurementOutcome, OverOccupiedError, apm_sample,
+                          photon_count)
+from railsim.protocols import (PrepSpec, apply_single_rail_unitary,
                                bell_measurement_single_rail, dual_to_single,
                                hybrid_bell, logical_target_fidelity,
                                prepare_arbitrary, qubit_state,
-                               run_protocol_trial, teleport_single_to_dual)
+                               run_protocol_trial, teleport_single_to_dual,
+                               trajectory_apm)
 from railsim.runner import trial_rng
 from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
                                 _evolve, _reduce_measured_mode)
@@ -56,28 +58,25 @@ def test_prep_spec_validation_and_target():
 
 def test_prepare_plus_is_deterministic():
     rng = np.random.default_rng(0)
-    b = AnalyticBackend()
     target = PureState(1, {(0,): RT2, (1,): RT2})
     for _ in range(40):
-        out = prepare_arbitrary(PrepSpec(math.sqrt(0.5), 0.0), b, rng)
+        out = prepare_arbitrary(PrepSpec(math.sqrt(0.5), 0.0), apm_sample, rng)
         assert fidelity(out, target) > 1.0 - 1e-12
 
 
 def test_prepare_arbitrary_hits_target_for_random_specs():
     rng = np.random.default_rng(1)
-    b = AnalyticBackend()
     for _ in range(40):
         spec = PrepSpec(alpha=rng.random(), phi=rng.random() * 2 * math.pi)
-        out = prepare_arbitrary(spec, b, rng)
+        out = prepare_arbitrary(spec, apm_sample, rng)
         assert fidelity(out, spec.target()) > 1.0 - 1e-12
 
 
 def test_prepare_arbitrary_edge_amplitudes():
     rng = np.random.default_rng(2)
-    b = AnalyticBackend()
-    zero = prepare_arbitrary(PrepSpec(1.0, 0.3), b, rng)
+    zero = prepare_arbitrary(PrepSpec(1.0, 0.3), apm_sample, rng)
     assert np.isclose(abs(zero.amp((0,))), 1.0)
-    one = prepare_arbitrary(PrepSpec(0.0, 0.3), b, rng)
+    one = prepare_arbitrary(PrepSpec(0.0, 0.3), apm_sample, rng)
     assert np.isclose(abs(one.amp((1,))), 1.0)
 
 
@@ -98,12 +97,11 @@ def test_homodyne_comparison_leaves_outcome_dependent_amplitude():
 
 def test_dual_to_single_preserves_logical_amplitudes():
     rng = np.random.default_rng(4)
-    b = AnalyticBackend()
     for _ in range(20):
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         c /= np.linalg.norm(c)
         state = PureState(2, {(0, 1): c[0], (1, 0): c[1]})
-        out, q = dual_to_single(state, DualRailQubit(0, 1), b, rng)
+        out, q = dual_to_single(state, DualRailQubit(0, 1), apm_sample, rng)
         assert isinstance(q, SingleRailQubit) and q.mode == 0
         assert out.n_modes == 1
         target = PureState(1, {(0,): c[0], (1,): c[1]})
@@ -112,25 +110,23 @@ def test_dual_to_single_preserves_logical_amplitudes():
 
 def test_dual_to_single_reindexes_higher_modes():
     rng = np.random.default_rng(5)
-    b = AnalyticBackend()
     # logical 1 on rails (2, 1) of a 3-mode state; photon sits in rail0=2
     state = PureState(3, {(0, 0, 1): 1.0})
-    out, q = dual_to_single(state, DualRailQubit(2, 1), b, rng)
+    out, q = dual_to_single(state, DualRailQubit(2, 1), apm_sample, rng)
     assert q.mode == 1
     assert np.isclose(abs(out.amp((0, 1))), 1.0)
 
 
 def test_dual_to_single_rejects_over_occupied_rails():
     rng = np.random.default_rng(6)
-    b = AnalyticBackend()
     state = PureState(2, {(1, 1): 1.0})
     with pytest.raises(OverOccupiedError):
-        dual_to_single(state, DualRailQubit(0, 1), b, rng)
+        dual_to_single(state, DualRailQubit(0, 1), apm_sample, rng)
 
 
 def test_hybrid_bell_state_and_handles():
     rng = np.random.default_rng(7)
-    state, sq, dq = hybrid_bell(AnalyticBackend(), rng)
+    state, sq, dq = hybrid_bell(apm_sample, rng)
     assert state.n_modes == 3
     assert sq.mode == 0 and (dq.rail0, dq.rail1) == (1, 2)
     amps = dict(state.items())
@@ -142,7 +138,7 @@ def test_hybrid_bell_state_and_handles():
 
 def test_hybrid_bell_rail_counts_correlate():
     rng = np.random.default_rng(8)
-    state, _, dq = hybrid_bell(AnalyticBackend(), rng)
+    state, _, dq = hybrid_bell(apm_sample, rng)
     ones = 0
     for _ in range(400):
         out = photon_count(state, (dq.rail0, dq.rail1), rng)
@@ -206,13 +202,12 @@ def test_bell_measurement_branch_probabilities():
 
 def test_teleport_success_statistics_and_fidelity():
     rng = np.random.default_rng(13)
-    b = AnalyticBackend()
     c0, c1 = 0.6, 0.8j
     state = qubit_state(c0, c1)
     n = 2000
     kinds = {"bell_plus": 0, "bell_minus": 0, "fail_zero": 0, "fail_two": 0}
     for _ in range(n):
-        out = teleport_single_to_dual(state, SingleRailQubit(0), b, rng)
+        out = teleport_single_to_dual(state, SingleRailQubit(0), apm_sample, rng)
         kinds[out.bsm.kind] += 1
         if out.success:
             assert isinstance(out.qubit, DualRailQubit)
@@ -230,14 +225,13 @@ def test_teleport_success_statistics_and_fidelity():
 
 
 def test_teleport_success_rate_is_input_independent():
-    b = AnalyticBackend()
     inputs = [qubit_state(1.0, 0.0), qubit_state(0.0, 1.0),
               qubit_state(RT2, RT2), qubit_state(RT2, -RT2)]
     for k, state in enumerate(inputs):
         rng = np.random.default_rng(100 + k)
         n = 2000
         rate = sum(
-            teleport_single_to_dual(state, SingleRailQubit(0), b, rng).success
+            teleport_single_to_dual(state, SingleRailQubit(0), apm_sample, rng).success
             for _ in range(n)) / n
         assert abs(rate - 0.5) < 0.045
 
@@ -246,11 +240,10 @@ def test_teleport_success_rate_is_input_independent():
 
 def test_identity_gate_round_trip():
     rng = np.random.default_rng(14)
-    b = AnalyticBackend()
     state = qubit_state(0.28, 0.96j)
     for _ in range(60):
         out = apply_single_rail_unitary(state, SingleRailQubit(0), IDENTITY,
-                                        b, rng)
+                                        apm_sample, rng)
         if out.success:
             assert out.state.n_modes == 1
             assert logical_target_fidelity(out.state, out.qubit, 0.28, 0.96j) \
@@ -259,12 +252,11 @@ def test_identity_gate_round_trip():
 
 def test_hadamard_gate_creates_equal_superposition_exactly():
     rng = np.random.default_rng(15)
-    b = AnalyticBackend()
     state = qubit_state(1.0, 0.0)
     succ = 0
     while succ < 25:
         out = apply_single_rail_unitary(state, SingleRailQubit(0), HADAMARD,
-                                        b, rng)
+                                        apm_sample, rng)
         if out.success:
             succ += 1
             assert logical_target_fidelity(out.state, out.qubit, RT2, RT2) \
@@ -273,12 +265,11 @@ def test_hadamard_gate_creates_equal_superposition_exactly():
 
 def test_hadamard_gate_maps_minus_to_one():
     rng = np.random.default_rng(16)
-    b = AnalyticBackend()
     state = qubit_state(RT2, -RT2)
     succ = 0
     while succ < 25:
         out = apply_single_rail_unitary(state, SingleRailQubit(0), HADAMARD,
-                                        b, rng)
+                                        apm_sample, rng)
         if out.success:
             succ += 1
             assert logical_target_fidelity(out.state, out.qubit, 0.0, 1.0) \
@@ -287,7 +278,6 @@ def test_hadamard_gate_maps_minus_to_one():
 
 def test_gate_composition_equals_matrix_product():
     rng = np.random.default_rng(17)
-    b = AnalyticBackend()
     v = np.array([[np.exp(-0.3j), 0.0], [0.0, np.exp(0.7j)]])
     c0, c1 = 0.6, 0.8j
     state = qubit_state(c0, c1)
@@ -295,10 +285,10 @@ def test_gate_composition_equals_matrix_product():
     checked = 0
     while checked < 10:
         first = apply_single_rail_unitary(state, SingleRailQubit(0), HADAMARD,
-                                          b, rng)
+                                          apm_sample, rng)
         if not first.success:
             continue
-        second = apply_single_rail_unitary(first.state, first.qubit, v, b, rng)
+        second = apply_single_rail_unitary(first.state, first.qubit, v, apm_sample, rng)
         if not second.success:
             continue
         checked += 1
@@ -308,12 +298,11 @@ def test_gate_composition_equals_matrix_product():
 
 def test_gate_failure_collapses_output_qubit():
     rng = np.random.default_rng(18)
-    b = AnalyticBackend()
     state = qubit_state(RT2, RT2)
     seen = set()
     for _ in range(100):
         out = apply_single_rail_unitary(state, SingleRailQubit(0), HADAMARD,
-                                        b, rng)
+                                        apm_sample, rng)
         if not out.success:
             seen.add(out.collapsed_logical)
             assert isinstance(out.qubit, DualRailQubit)
@@ -326,14 +315,14 @@ def test_gate_failure_collapses_output_qubit():
 
 def test_protocol_trial_record_is_json_serializable_and_deterministic():
     spec = PrepSpec(alpha=0.6, phi=0.785)
-    rec1 = run_protocol_trial("prepare", AnalyticBackend(), 5, 9, spec=spec)
-    rec2 = run_protocol_trial("prepare", AnalyticBackend(), 5, 9, spec=spec)
+    rec1 = run_protocol_trial("prepare", apm_sample, 5, 9, spec=spec)
+    rec2 = run_protocol_trial("prepare", apm_sample, 5, 9, spec=spec)
     assert rec1 == rec2
     assert rec1["seed"] == [5, 9]
     assert rec1["fidelity"] > 1.0 - 1e-12
     assert len(rec1["theta_values"]) == 1
     json.dumps(rec1)
-    rec3 = run_protocol_trial("prepare", AnalyticBackend(), 5, 10, spec=spec)
+    rec3 = run_protocol_trial("prepare", apm_sample, 5, 10, spec=spec)
     assert rec3["theta_values"] != rec1["theta_values"]
 
 
@@ -341,7 +330,7 @@ def test_gate_trial_record_counts_and_thetas():
     u = np.array([[RT2, RT2], [RT2, -RT2]], dtype=complex)
     succ_thetas, fail_thetas = set(), set()
     for i in range(40):
-        rec = run_protocol_trial("gate", AnalyticBackend(), 21, i,
+        rec = run_protocol_trial("gate", apm_sample, 21, i,
                                  qubit=(1.0, 0.0), u=u)
         json.dumps(rec)
         if rec["success"]:
@@ -350,15 +339,40 @@ def test_gate_trial_record_counts_and_thetas():
         else:
             assert len(rec["theta_values"]) == 1
             assert rec["collapsed"] in (0, 1)
-    rec = run_protocol_trial("teleport", AnalyticBackend(), 3, 0,
+    rec = run_protocol_trial("teleport", apm_sample, 3, 0,
                              qubit=(0.6, 0.8j))
     assert rec["protocol"] == "teleport"
     assert rec["counts"] is not None
 
 
+def test_trial_records_the_phases_its_apm_returned():
+    returned = []
+
+    def fake_apm(state, mode, rng):
+        # The analytic posterior, reported with a known phase outcome.
+        out = apm_sample(state, mode, rng)
+        theta = np.float64(0.25 + len(returned))
+        returned.append(float(theta))
+        return MeasurementOutcome(value=theta, posterior=out.posterior,
+                                  density=out.density)
+
+    rec = run_protocol_trial("prepare", fake_apm, 5, 9,
+                             spec=PrepSpec(alpha=0.6, phi=0.785))
+    assert rec["theta_values"] == returned == [0.25]
+    for i in range(40):
+        returned.clear()
+        rec = run_protocol_trial("gate", fake_apm, 21, i,
+                                 qubit=(1.0, 0.0), u=HADAMARD)
+        if rec["success"]:
+            break
+    assert rec["success"]
+    assert rec["theta_values"] == returned == [0.25, 1.25]
+    assert all(type(t) is float for t in rec["theta_values"])
+
+
 def test_unknown_protocol_rejected():
     with pytest.raises(ValueError):
-        run_protocol_trial("bogus", AnalyticBackend(), 0, 0)
+        run_protocol_trial("bogus", apm_sample, 0, 0)
 
 
 # ---- trajectory backend equivalence ----
@@ -381,21 +395,21 @@ def test_preparation_measurement_statistics_match_analytic():
 
 
 def test_prepare_trial_with_trajectory_backend_reaches_target():
-    backend = TrajectoryBackend(make_pulse("flat", dt=1e-3))
+    apm = partial(trajectory_apm, pulse=make_pulse("flat", dt=1e-3))
     spec = PrepSpec(alpha=0.6, phi=0.785)
-    fids = [run_protocol_trial("prepare", backend, 41, i, spec=spec)["fidelity"]
+    fids = [run_protocol_trial("prepare", apm, 41, i, spec=spec)["fidelity"]
             for i in range(20)]
     assert min(fids) > 0.98
     assert np.mean(fids) > 0.99
 
 
 def test_teleport_with_trajectory_backend_end_to_end():
-    b = TrajectoryBackend(make_pulse("flat", dt=1e-3))
+    apm = partial(trajectory_apm, pulse=make_pulse("flat", dt=1e-3))
     state = qubit_state(0.6, 0.8j)
     rate = 0
     for i in range(60):
         out = teleport_single_to_dual(state, SingleRailQubit(0),
-                                      b, trial_rng(51, i))
+                                      apm, trial_rng(51, i))
         if out.success:
             rate += 1
             assert logical_target_fidelity(out.state, out.qubit, 0.6, 0.8j) \
@@ -429,9 +443,7 @@ def _batched_gate_trials(u, c0, c1, pulse, master_seed, n_trials):
     phase2 = []  # (trial, state) for success branches
     for i in range(n_trials):
         amps = dict(zip(rest_occs, res1.a_final[i, 0, :]))
-        resource = PureState(bell.n_modes - 1, amps,
-                             n_max=bell.n_max,
-                             n_total_max=bell.n_total_max).normalized()
+        resource = PureState(bell.n_modes - 1, amps).normalized()
         resource = apply_phase(resource, 0, -float(res1.theta[i]))
         joint = tensor(input_state, resource)
         bsm, post = bell_measurement_single_rail(
@@ -455,8 +467,7 @@ def _batched_gate_trials(u, c0, c1, pulse, master_seed, n_trials):
         res2 = _evolve(np.stack(stacks), noise2, pulse, policy)
         for row, (i, st) in enumerate(phase2):
             amps = dict(zip(occ_sets, res2.a_final[row, 0, :]))
-            final = PureState(st.n_modes - 1, amps, n_max=st.n_max,
-                              n_total_max=st.n_total_max).normalized()
+            final = PureState(st.n_modes - 1, amps).normalized()
             final = apply_phase(final, 0, -float(res2.theta[row]))
             theta2.append(float(res2.theta[row]))
             fids.append(logical_target_fidelity(final, SingleRailQubit(0),
@@ -467,14 +478,14 @@ def _batched_gate_trials(u, c0, c1, pulse, master_seed, n_trials):
 def test_batched_replay_matches_scalar_gate_trials():
     pulse = make_pulse("flat", dt=2e-3)
     c0, c1 = 0.6, 0.8j
-    backend = TrajectoryBackend(pulse)
+    apm = partial(trajectory_apm, pulse=pulse)
     u = np.array([[RT2, RT2], [RT2, -RT2]], dtype=complex)
     theta1, theta2, fids, kinds = _batched_gate_trials(
         HADAMARD, c0, c1, pulse, 61, 6)
     got_theta2 = iter(theta2)
     got_fids = iter(fids)
     for i in range(6):
-        rec = run_protocol_trial("gate", backend, 61, i, qubit=(c0, c1), u=u)
+        rec = run_protocol_trial("gate", apm, 61, i, qubit=(c0, c1), u=u)
         assert rec["success"] == (kinds[i] in ("bell_plus", "bell_minus"))
         assert np.isclose(rec["theta_values"][0], theta1[i], atol=1e-12)
         if rec["success"]:
