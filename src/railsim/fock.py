@@ -221,4 +221,4 @@ def project_mode(state: PureState, mode: int, bra_coeffs: Iterable[complex]):
     weight = posterior.norm_sq()
     if weight < _ZERO_WEIGHT:
         raise ValueError("projection weight vanishes")
-    return weight, posterior.normalized()
+    return weight, posterior.scaled(1.0 / math.sqrt(weight))

@@ -217,6 +217,21 @@ def _reduce_measured_mode(state: PureState, mode: int):
     return a0, rest_occs
 
 
+def _wiener_increments(rngs, pulse: PulseShape) -> np.ndarray:
+    """Wiener increments dW ~ N(0, dt), shape (lanes, n_steps); lane i
+    draws ``rngs[i].standard_normal(n_steps)``."""
+    noise = np.empty((len(rngs), pulse.n_steps))
+    for rng, row in zip(rngs, noise):
+        rng.standard_normal(out=row)
+    noise *= math.sqrt(pulse.dt)
+    return noise
+
+
+def _posterior(n_modes: int, rest_occs, row: np.ndarray) -> PureState:
+    """Normalized state with amplitudes ``row`` on ``rest_occs``."""
+    return PureState(n_modes, dict(zip(rest_occs, row))).normalized()
+
+
 @dataclass
 class _KernelResult:
     theta: np.ndarray
@@ -412,11 +427,10 @@ def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
     weight is reported on the record).
     """
     a0, rest_occs = _reduce_measured_mode(state, mode)
-    noise = rng.standard_normal(pulse.n_steps) * math.sqrt(pulse.dt)
-    res = _evolve(a0[None, :, :], noise[None, :], pulse, policy,
+    noise = _wiener_increments([rng], pulse)
+    res = _evolve(a0[None, :, :], noise, pulse, policy,
                   keep_series=keep_series)
-    posterior_amps = dict(zip(rest_occs, res.a_final[0, 0, :]))
-    posterior = PureState(state.n_modes - 1, posterior_amps).normalized()
+    posterior = _posterior(state.n_modes - 1, rest_occs, res.a_final[0, 0, :])
     record = TrajectoryRecord(
         theta=float(res.theta[0]),
         x=float(res.x[0]),
@@ -427,7 +441,7 @@ def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
         record.phases = res.phases[0]
         record.i_dt = res.i_dt[0]
         record.j_dt = res.j_dt[0]
-        record.dw = noise
+        record.dw = noise[0]
     return record, posterior
 
 
@@ -462,21 +476,37 @@ def _posterior_fidelity(a0: np.ndarray, a_final: np.ndarray,
     return (overlap.real ** 2 + overlap.imag ** 2) / (t2 * p2)
 
 
-def _ensemble_chunk(rng_range, a0, pulse, policy, master_seed, want_fidelity):
-    start, stop = rng_range
-    batch = stop - start
-    n_steps = pulse.n_steps
-    sqrt_dt = math.sqrt(pulse.dt)
-    noise = np.empty((batch, n_steps))
-    for i in range(batch):
-        noise[i] = trial_rng(master_seed, start + i).standard_normal(n_steps)
-    noise *= sqrt_dt
-    tiled = np.broadcast_to(a0, (batch,) + a0.shape)
+def _ensemble_chunk(rngs, a0, pulse, policy, want_fidelity=False):
+    """One kernel call on ``a0``, lane i drawing its noise from
+    ``rngs[i]``; returns (kernel result, fidelity or None)."""
+    noise = _wiener_increments(rngs, pulse)
+    tiled = np.broadcast_to(a0, (len(rngs),) + a0.shape)
     res = _evolve(tiled, noise, pulse, policy)
     fid = None
     if want_fidelity and a0.shape[0] >= 2:
         fid = _posterior_fidelity(a0, res.a_final, res.theta)
+    return res, fid
+
+
+def _ensemble_worker(rng_range, a0, pulse, policy, master_seed, want_fidelity):
+    rngs = [trial_rng(master_seed, i) for i in range(*rng_range)]
+    res, fid = _ensemble_chunk(rngs, a0, pulse, policy, want_fidelity)
     return res.theta, res.x, res.residual, fid
+
+
+def simulate_dyne_lanes(state: PureState, mode: int, pulse: PulseShape,
+                        policy: FeedbackPolicy, rngs) -> tuple:
+    """:func:`simulate_dyne` on one ``state`` for each of ``rngs``, as
+    one kernel call.
+
+    Returns lists (theta, posteriors) whose entry i equals, bit for bit,
+    what ``simulate_dyne(state, mode, pulse, policy, rngs[i])`` returns;
+    each generator is left in the same state too.
+    """
+    a0, rest_occs = _reduce_measured_mode(state, mode)
+    res, _ = _ensemble_chunk(rngs, a0, pulse, policy)
+    return res.theta.tolist(), [_posterior(state.n_modes - 1, rest_occs, row)
+                                for row in res.a_final[:, 0, :]]
 
 
 def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
@@ -492,7 +522,7 @@ def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
     a0, _ = _reduce_measured_mode(state, mode)
     if want_fidelity and (policy.kind != "adaptive" or a0.shape[0] < 2):
         want_fidelity = False
-    worker = partial(_ensemble_chunk, a0=a0, pulse=pulse, policy=policy,
+    worker = partial(_ensemble_worker, a0=a0, pulse=pulse, policy=policy,
                      master_seed=master_seed, want_fidelity=want_fidelity)
     parts = map_chunks(worker, chunk_ranges(n_trials, chunk_size), threads)
     theta = np.concatenate([p[0] for p in parts])

@@ -410,6 +410,37 @@ def test_protocol_outputs_identical_across_worker_counts(tmp_path):
     assert blobs[1] == blobs[4]
 
 
+_TRAJECTORY_PROTOCOLS = {
+    "gate": ["gate", "--u", "hadamard", "--input", "qubit:0.6,1.0",
+             "--backend", "trajectory", "--dt", "1e-2", "--seed", "11"],
+    "prep": ["prep", "--alpha", "0.6", "--phi", "0.4",
+             "--backend", "trajectory", "--dt", "1e-2", "--seed", "11"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TRAJECTORY_PROTOCOLS))
+def test_trajectory_protocol_outputs_identical_across_chunk_sizes(
+        capsys, tmp_path, monkeypatch, command):
+    small, large = _outputs_at_chunk_sizes(
+        capsys, tmp_path, monkeypatch, "PROTOCOL_CHUNK", (7, 256),
+        _TRAJECTORY_PROTOCOLS[command] + ["--n", "60"])
+    assert small == large
+
+
+@pytest.mark.parametrize("command", sorted(_TRAJECTORY_PROTOCOLS))
+def test_trajectory_protocol_outputs_identical_across_worker_counts(
+        tmp_path, command):
+    # n=300 is two PROTOCOL_CHUNK chunks, so --threads 2 forks
+    base = _TRAJECTORY_PROTOCOLS[command] + ["--n", "300"]
+    blobs = {}
+    for threads in (1, 2):
+        jsonl = tmp_path / f"t{threads}.jsonl"
+        out = _run_cli(base + ["--threads", str(threads), "--jsonl", str(jsonl)],
+                       threads, str(tmp_path))
+        blobs[threads] = (out, jsonl.read_bytes())
+    assert blobs[1] == blobs[2]
+
+
 def test_cli_import_does_not_load_scipy():
     # a child process: this one has scipy loaded by the test suite
     probe = ("import sys, railsim, railsim.cli; "

@@ -7,11 +7,11 @@ import pytest
 
 from railsim import trajectory
 from railsim.fock import PureState, fidelity, fock_state, single_photon, vacuum
-from railsim.optics import BeamsplitterSpec, beamsplitter
+from railsim.optics import BeamsplitterSpec, beamsplitter, dual_rail_bell
 from railsim.povm import apm_density
 from railsim.stats import ks_statistic
 from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
-                                simulate_dyne)
+                                simulate_dyne, simulate_dyne_lanes)
 
 from current_profile import mean_current_profile
 from paper_checks import integrated_quadrature_check
@@ -184,6 +184,25 @@ def test_single_trajectory_equals_ensemble_lane():
                            trial_rng(3, 2), keep_series=False)
     assert rec.theta == ens.theta[2]
     assert rec.x == ens.x[2]
+
+
+@pytest.mark.parametrize("state, mode", [(split_photon(), 0),
+                                         (dual_rail_bell(), 1)])
+def test_lanes_equal_single_trajectories(state, mode):
+    p = make_pulse("flat", dt=1e-2)
+    policy = FeedbackPolicy.adaptive()
+    rngs = [np.random.default_rng(seed) for seed in range(5)]
+    thetas, posteriors = simulate_dyne_lanes(state, mode, p, policy, rngs)
+    for seed, theta, post, rng in zip(range(5), thetas, posteriors, rngs):
+        ref = np.random.default_rng(seed)
+        rec, ref_post = simulate_dyne(state, mode, p, policy, ref)
+        assert theta == rec.theta
+        assert post == ref_post
+        # each lane's generator is left where simulate_dyne leaves it
+        assert rng.random() == ref.random()
+        assert np.array_equal(
+            rec.dw, np.random.default_rng(seed).standard_normal(p.n_steps)
+            * math.sqrt(p.dt))
 
 
 def test_adaptive_theta_distribution_matches_analytic_density():
