@@ -12,9 +12,8 @@ from .povm import (ApmDensity, MeasurementOutcome, OverOccupiedError,
 from .protocols import (BsmOutcome, GateOutcome, PrepSpec,
                         apply_single_rail_unitary, bell_measurement_single_rail,
                         dual_to_single, hybrid_bell, logical_target_fidelity,
-                        prepare_arbitrary, qubit_state, run_protocol_chunk,
-                        run_protocol_trial, teleport_single_to_dual,
-                        trajectory_apm)
+                        prepare_arbitrary, qubit_state, run_protocol_trial,
+                        teleport_single_to_dual, trajectory_apm)
 from .runner import trial_rng, worker_count
 from .trajectory import (EnsembleResult, FeedbackPolicy, PulseShape,
                          TrajectoryDivergedError, TrajectoryRecord,
@@ -36,8 +35,7 @@ __all__ = [
     "bell_measurement_single_rail", "dual_to_single",
     "hybrid_bell", "logical_target_fidelity",
     "prepare_arbitrary", "qubit_state",
-    "run_protocol_chunk", "run_protocol_trial", "teleport_single_to_dual",
-    "trajectory_apm",
+    "run_protocol_trial", "teleport_single_to_dual", "trajectory_apm",
     "trial_rng", "worker_count",
     "EnsembleResult", "FeedbackPolicy", "PulseShape",
     "TrajectoryDivergedError", "TrajectoryRecord",

@@ -31,7 +31,7 @@ from .optics import (BeamsplitterSpec, HADAMARD, IDENTITY, PAULI_X, PAULI_Z,
                      single_rail_bell)
 from .povm import (OverOccupiedError, apm_density, apm_sample, homodyne_cdf,
                    photon_count)
-from .protocols import PrepSpec, run_protocol_chunk, trajectory_apm
+from .protocols import PrepSpec, run_protocol_trial, trajectory_apm
 from .runner import chunk_ranges, map_chunks, trial_rng, worker_count
 from .stats import chi2_gof_pvalue, ks_statistic
 from .trajectory import (FeedbackPolicy, TrajectoryDivergedError, make_pulse,
@@ -212,7 +212,9 @@ def _count_chunk(bounds, state, modes, seed):
 
 
 def _protocol_chunk(bounds, protocol, apm, seed, **target):
-    return run_protocol_chunk(protocol, apm, seed, *bounds, **target)
+    start, stop = bounds
+    return [run_protocol_trial(protocol, apm, seed, i, **target)
+            for i in range(start, stop)]
 
 
 def _run_chunked(fn, n, threads, chunk):

@@ -7,14 +7,6 @@ time-domain trajectory simulation (``trajectory_apm``).
 Phase-measurement outcomes feed forward into phase shifters; detector
 outcomes select teleportation branches.
 
-``run_protocol_trial`` runs one trial from its own generator
-``trial_rng(seed, i)``.  ``run_protocol_chunk`` runs a range of trials
-with the same records: each trial's first APM acts on a state that is
-the same in every trial (the beamsplitter output in ``prepare``, rail 1
-of ``dual_rail_bell()`` in ``teleport`` and ``gate``) and is the
-trial's first draw, so the chunk runs it for all trials up front, as
-one kernel call on the trajectory backend.
-
 Conventions fixed here (derived under the package's beamsplitter
 convention and frozen):
 
@@ -29,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -39,8 +30,7 @@ from .optics import (BeamsplitterSpec, DualRailQubit, SingleRailQubit,
 from .povm import (MeasurementOutcome, OverOccupiedError, apm_density,
                    apm_sample, photon_count)
 from .runner import trial_rng
-from .trajectory import (FeedbackPolicy, PulseShape, simulate_dyne,
-                         simulate_dyne_lanes)
+from .trajectory import FeedbackPolicy, PulseShape, simulate_dyne
 
 # apm_sample is re-exported: it and trajectory_apm are the two APM
 # functions a protocol takes.
@@ -49,12 +39,8 @@ __all__ = [
     "dual_to_single", "hybrid_bell", "BsmOutcome", "GateOutcome",
     "bell_measurement_single_rail", "teleport_single_to_dual",
     "apply_single_rail_unitary", "qubit_state", "logical_target_fidelity",
-    "run_protocol_trial", "run_protocol_chunk",
+    "run_protocol_trial",
 ]
-
-# The dual-rail qubit of dual_rail_bell() that hybrid_bell converts to
-# single rail by phase-measuring its rail1.
-_BELL_HALF = DualRailQubit(0, 1)
 
 
 @dataclass(frozen=True)
@@ -99,14 +85,10 @@ def prepare_arbitrary(spec: PrepSpec, apm, rng) -> PureState:
     port that keeps amplitude alpha is phase-measured and the outcome,
     together with the target phase, feeds forward onto the free port.
     """
-    out = apm(_prepare_input(spec), 0, rng)
-    return apply_phase(out.posterior, 0, -(out.value + spec.phi))
-
-
-def _prepare_input(spec: PrepSpec) -> PureState:
-    """The state whose mode 0 ``prepare_arbitrary`` phase-measures."""
     state = single_photon(0, 2)
-    return beamsplitter(state, BeamsplitterSpec(0, 1, spec.alpha * spec.alpha))
+    state = beamsplitter(state, BeamsplitterSpec(0, 1, spec.alpha * spec.alpha))
+    out = apm(state, 0, rng)
+    return apply_phase(out.posterior, 0, -(out.value + spec.phi))
 
 
 def _check_dual_occupancy(state: PureState, q: DualRailQubit):
@@ -140,7 +122,8 @@ def hybrid_bell(apm, rng):
     (|0>|10> + |1>|01>)/sqrt(2) on three modes.  Returns
     (state, SingleRailQubit, DualRailQubit).
     """
-    state, single = dual_to_single(dual_rail_bell(), _BELL_HALF, apm, rng)
+    bell = dual_rail_bell()
+    state, single = dual_to_single(bell, DualRailQubit(0, 1), apm, rng)
     return state, single, DualRailQubit(1, 2)
 
 
@@ -261,37 +244,19 @@ def logical_target_fidelity(state: PureState, qubit, c0: complex, c1: complex) -
 def run_protocol_trial(protocol: str, apm, master_seed: int,
                        trial_index: int, spec: PrepSpec | None = None,
                        qubit: tuple | None = None,
-                       u: np.ndarray | None = None, *,
-                       measured: tuple | None = None) -> dict:
+                       u: np.ndarray | None = None) -> dict:
     """Run one protocol trial and return a JSON-serializable record.
 
     ``prepare`` takes the target ``spec``; ``teleport`` takes the input
     amplitudes ``qubit = (c0, c1)``; ``gate`` takes ``qubit`` and the
     2x2 unitary ``u``.  The record keeps the phase outcomes of ``apm``
     in call order.
-
-    ``measured`` is set by :func:`run_protocol_chunk`, which runs a
-    trial's first APM ahead: it is ``(rng, state, mode, outcome)``, with
-    ``rng`` the trial's generator after that APM.  The trial goes on
-    with ``rng``, and its first APM call, which must be on ``state`` and
-    ``mode``, returns ``outcome``.
     """
-    if measured is None:
-        rng, ahead = trial_rng(master_seed, trial_index), None
-    else:
-        rng, *ahead = measured
+    rng = trial_rng(master_seed, trial_index)
     theta_values = []
 
     def recorded_apm(state, mode, rng):
-        nonlocal ahead
-        if ahead:
-            fixed, fixed_mode, out = ahead
-            if mode != fixed_mode or state != fixed:
-                raise RuntimeError("the first APM of the trial differs from "
-                                 "the one measured ahead")
-            ahead = None
-        else:
-            out = apm(state, mode, rng)
+        out = apm(state, mode, rng)
         theta_values.append(float(out.value))
         return out
 
@@ -327,42 +292,3 @@ def run_protocol_trial(protocol: str, apm, master_seed: int,
         raise ValueError(f"unknown protocol {protocol!r}")
     record["theta_values"] = theta_values
     return record
-
-
-def _first_apm_input(protocol: str, spec: PrepSpec | None) -> tuple:
-    """(state, mode) of a trial's first APM, which is the same in every
-    trial and the first draw from the trial's generator."""
-    if protocol == "prepare":
-        return _prepare_input(spec), 0
-    if protocol in ("teleport", "gate"):
-        return dual_rail_bell(), _BELL_HALF.rail1
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def run_protocol_chunk(protocol: str, apm, master_seed: int, start: int,
-                       stop: int, spec: PrepSpec | None = None,
-                       qubit: tuple | None = None,
-                       u: np.ndarray | None = None) -> list:
-    """Records of trials ``start`` to ``stop - 1``, in order.
-
-    Each record equals ``run_protocol_trial``'s for the same trial.  The
-    chunk runs the trials' first APM, on a state every trial shares,
-    for all of them up front: ``partial(trajectory_apm, pulse=...)``
-    runs it as one kernel call over the chunk's lanes, and any other
-    ``apm`` once per trial.  Each trial then goes on with its own
-    generator, so every stream is drawn in the per-trial order.
-    """
-    state, mode = _first_apm_input(protocol, spec)
-    rngs = [trial_rng(master_seed, i) for i in range(start, stop)]
-    if isinstance(apm, partial) and apm.func is trajectory_apm:
-        dens = apm_density(state, mode)
-        thetas, posteriors = simulate_dyne_lanes(
-            state, mode, apm.keywords["pulse"], FeedbackPolicy.adaptive(), rngs)
-        outs = [MeasurementOutcome(value=theta, posterior=post,
-                                   density=float(dens(theta)))
-                for theta, post in zip(thetas, posteriors)]
-    else:
-        outs = [apm(state, mode, rng) for rng in rngs]
-    return [run_protocol_trial(protocol, apm, master_seed, i, spec, qubit, u,
-                               measured=(rng, state, mode, out))
-            for i, rng, out in zip(range(start, stop), rngs, outs)]

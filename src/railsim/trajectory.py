@@ -217,19 +217,15 @@ def _reduce_measured_mode(state: PureState, mode: int):
     return a0, rest_occs
 
 
-def _wiener_increments(rngs, pulse: PulseShape) -> np.ndarray:
+def _wiener_increments(lanes: int, rngs, pulse: PulseShape) -> np.ndarray:
     """Wiener increments dW ~ N(0, dt), shape (lanes, n_steps); lane i
-    draws ``rngs[i].standard_normal(n_steps)``."""
-    noise = np.empty((len(rngs), pulse.n_steps))
+    draws ``standard_normal(n_steps)`` from the i-th of ``rngs``, an
+    iterable that may make each generator as it is reached."""
+    noise = np.empty((lanes, pulse.n_steps))
     for rng, row in zip(rngs, noise):
         rng.standard_normal(out=row)
     noise *= math.sqrt(pulse.dt)
     return noise
-
-
-def _posterior(n_modes: int, rest_occs, row: np.ndarray) -> PureState:
-    """Normalized state with amplitudes ``row`` on ``rest_occs``."""
-    return PureState(n_modes, dict(zip(rest_occs, row))).normalized()
 
 
 @dataclass
@@ -336,7 +332,10 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
     photons run on the full amplitude array (:class:`_StateLanes`).
     All per-step operations are elementwise across the batch, so each
     trajectory's floating point path is identical no matter how trials
-    are batched.  ``a_final`` holds the normalized final rows.
+    are batched.  A lone adaptive Kraus lane with no loop delay, the
+    phase measurement of a protocol trial, runs the same operations on
+    Python floats (:func:`_one_kraus_lane`).  ``a_final`` holds the
+    normalized final rows.
     """
     batch, levels, _ = a0.shape
     n_steps = pulse.n_steps
@@ -358,6 +357,13 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
                                 0.0).tolist()
     lanes = (_KrausLanes if levels <= 2 else _StateLanes)(a0, sqrt_gamma,
                                                          half_gamma_dt)
+
+    if batch == 1 and levels <= 2 and adaptive and lag == 0 and not keep_series:
+        lane = _one_kraus_lane(lanes, noise[0], drive, sqrt_u, inv_sqrt_cum)
+        if lane is not None:
+            p_re, p_im, s, x = lane
+            lanes.p = np.array([[p_re], [p_im]])
+            return _finish(lanes, np.array([s]), np.array([x]), n_steps)
 
     s_sum = np.zeros(batch)
     x_sum = np.zeros(batch)
@@ -401,6 +407,57 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
             ring[k % (lag + 1)] = s_sum
             phi = ring[(k + 1) % (lag + 1)]  # the sum from step k - lag, or 0
 
+    out = _finish(lanes, s_sum, x_sum, n_steps)
+    if keep_series:
+        out.phases, out.i_dt, out.j_dt = ser_phi, ser_idt, ser_jdt
+    return out
+
+
+def _one_kraus_lane(lanes: _KrausLanes, noise: np.ndarray, drive, sqrt_u,
+                    inv_sqrt_cum):
+    """The adaptive, delay-free step loop of :func:`_evolve` for a single
+    Kraus-form lane, on Python floats.
+
+    A one-lane step in numpy costs a dozen array calls for a few scalar
+    operations.  This loop does the same IEEE operations in the same
+    order (``math.cos``/``math.sin`` are the C library's, as ``np.cos``/
+    ``np.sin`` are on float64), so its results equal the array loop's
+    bit for bit.  Returns (Re p, Im p, phase sum, current sum) after the
+    last step, or None if any value goes non-finite: non-finite values
+    reach p or the sums and stay there, and the caller then reruns the
+    lane on the array loop, which raises TrajectoryDivergedError.
+    """
+    g00, g11 = float(lanes.g00[0]), float(lanes.g11[0])
+    g01_re, g01_im = float(lanes.g01[0, 0]), float(lanes.g01[1, 0])
+    cos, sin = math.cos, math.sin
+    p_re = p_im = s = x = 0.0
+    try:
+        for dw, d, d2, kick, drv, su, isc in zip(
+                noise.tolist(), lanes.d, lanes.d2, lanes.kick, drive, sqrt_u,
+                inv_sqrt_cum):
+            c, sn = cos(s), sin(s)
+            m_re = p_re * g11 + g01_re         # g01 + conj(q) g11
+            m_im = p_im * g11 + g01_im
+            proj = (m_re * c + m_im * sn) * d
+            norm2 = ((m_re + g01_re) * p_re + (m_im + g01_im) * p_im
+                     + (g00 + d2 * g11))
+            jdt = proj * drv / norm2 + dw
+            w = jdt * kick
+            p_re += w * c
+            p_im += w * sn
+            idt = jdt * su
+            x += idt
+            s += idt * isc
+    except (ValueError, ZeroDivisionError):  # cos(inf), x / 0.0
+        return None
+    if not all(map(math.isfinite, (p_re, p_im, s, x))):
+        return None
+    return p_re, p_im, s, x
+
+
+def _finish(lanes, s_sum: np.ndarray, x_sum: np.ndarray,
+            n_steps: int) -> _KernelResult:
+    """Phase estimates and normalized final rows of stepped ``lanes``."""
     rows = lanes.rows()
     norm2 = (rows.real ** 2 + rows.imag ** 2).sum(axis=(1, 2))
     if not np.all(np.isfinite(norm2)) or np.any(norm2 <= 0.0):
@@ -410,10 +467,8 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
     w0 = (row0.real ** 2 + row0.imag ** 2).sum(axis=1)
     residual = 1.0 - w0 / norm2
     a_final = rows / np.sqrt(norm2)[:, None, None]
-    out = _KernelResult(theta=theta, x=x_sum, a_final=a_final, residual=residual)
-    if keep_series:
-        out.phases, out.i_dt, out.j_dt = ser_phi, ser_idt, ser_jdt
-    return out
+    return _KernelResult(theta=theta, x=x_sum, a_final=a_final,
+                         residual=residual)
 
 
 def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
@@ -427,10 +482,11 @@ def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
     weight is reported on the record).
     """
     a0, rest_occs = _reduce_measured_mode(state, mode)
-    noise = _wiener_increments([rng], pulse)
+    noise = _wiener_increments(1, [rng], pulse)
     res = _evolve(a0[None, :, :], noise, pulse, policy,
                   keep_series=keep_series)
-    posterior = _posterior(state.n_modes - 1, rest_occs, res.a_final[0, 0, :])
+    posterior_amps = dict(zip(rest_occs, res.a_final[0, 0, :]))
+    posterior = PureState(state.n_modes - 1, posterior_amps).normalized()
     record = TrajectoryRecord(
         theta=float(res.theta[0]),
         x=float(res.x[0]),
@@ -476,37 +532,17 @@ def _posterior_fidelity(a0: np.ndarray, a_final: np.ndarray,
     return (overlap.real ** 2 + overlap.imag ** 2) / (t2 * p2)
 
 
-def _ensemble_chunk(rngs, a0, pulse, policy, want_fidelity=False):
-    """One kernel call on ``a0``, lane i drawing its noise from
-    ``rngs[i]``; returns (kernel result, fidelity or None)."""
-    noise = _wiener_increments(rngs, pulse)
-    tiled = np.broadcast_to(a0, (len(rngs),) + a0.shape)
+def _ensemble_chunk(rng_range, a0, pulse, policy, master_seed, want_fidelity):
+    start, stop = rng_range
+    batch = stop - start
+    noise = _wiener_increments(
+        batch, (trial_rng(master_seed, i) for i in range(start, stop)), pulse)
+    tiled = np.broadcast_to(a0, (batch,) + a0.shape)
     res = _evolve(tiled, noise, pulse, policy)
     fid = None
     if want_fidelity and a0.shape[0] >= 2:
         fid = _posterior_fidelity(a0, res.a_final, res.theta)
-    return res, fid
-
-
-def _ensemble_worker(rng_range, a0, pulse, policy, master_seed, want_fidelity):
-    rngs = [trial_rng(master_seed, i) for i in range(*rng_range)]
-    res, fid = _ensemble_chunk(rngs, a0, pulse, policy, want_fidelity)
     return res.theta, res.x, res.residual, fid
-
-
-def simulate_dyne_lanes(state: PureState, mode: int, pulse: PulseShape,
-                        policy: FeedbackPolicy, rngs) -> tuple:
-    """:func:`simulate_dyne` on one ``state`` for each of ``rngs``, as
-    one kernel call.
-
-    Returns lists (theta, posteriors) whose entry i equals, bit for bit,
-    what ``simulate_dyne(state, mode, pulse, policy, rngs[i])`` returns;
-    each generator is left in the same state too.
-    """
-    a0, rest_occs = _reduce_measured_mode(state, mode)
-    res, _ = _ensemble_chunk(rngs, a0, pulse, policy)
-    return res.theta.tolist(), [_posterior(state.n_modes - 1, rest_occs, row)
-                                for row in res.a_final[:, 0, :]]
 
 
 def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
@@ -522,7 +558,7 @@ def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
     a0, _ = _reduce_measured_mode(state, mode)
     if want_fidelity and (policy.kind != "adaptive" or a0.shape[0] < 2):
         want_fidelity = False
-    worker = partial(_ensemble_worker, a0=a0, pulse=pulse, policy=policy,
+    worker = partial(_ensemble_chunk, a0=a0, pulse=pulse, policy=policy,
                      master_seed=master_seed, want_fidelity=want_fidelity)
     parts = map_chunks(worker, chunk_ranges(n_trials, chunk_size), threads)
     theta = np.concatenate([p[0] for p in parts])

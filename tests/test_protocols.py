@@ -12,8 +12,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from railsim.fock import PureState, apply_phase, fidelity, tensor, vacuum
 from railsim.optics import (DualRailQubit, HADAMARD, IDENTITY,
@@ -25,12 +23,12 @@ from railsim.protocols import (PrepSpec, apply_single_rail_unitary,
                                bell_measurement_single_rail, dual_to_single,
                                hybrid_bell, logical_target_fidelity,
                                prepare_arbitrary, qubit_state,
-                               run_protocol_chunk, run_protocol_trial,
-                               teleport_single_to_dual, trajectory_apm)
+                               run_protocol_trial, teleport_single_to_dual,
+                               trajectory_apm)
 from railsim.runner import trial_rng
 from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
-                                simulate_dyne_lanes, _evolve,
-                                _reduce_measured_mode, _wiener_increments)
+                                _evolve, _reduce_measured_mode,
+                                _wiener_increments)
 
 from logical_state import logical_state
 from paper_checks import homodyne_prep_comparison, ks_uniform
@@ -430,15 +428,22 @@ def _batched_gate_trials(u, c0, c1, pulse, master_seed, n_trials):
     """
     policy = FeedbackPolicy.adaptive()
     rngs = [trial_rng(master_seed, i) for i in range(n_trials)]
-    theta1, resources = simulate_dyne_lanes(dual_rail_bell(), 1, pulse,
-                                            policy, rngs)
+    noise1 = _wiener_increments(n_trials, rngs, pulse)
+
+    bell = dual_rail_bell()
+    a0, rest_occs = _reduce_measured_mode(bell, 1)
+    res1 = _evolve(np.repeat(a0[None, :, :], n_trials, axis=0), noise1,
+                   pulse, policy)
 
     input_state = qubit_state(c0, c1)
     target = u @ np.array([c0, c1])
+    theta1 = res1.theta
     theta2, fids, kinds = [], [], []
     phase2 = []  # (trial, state) for success branches
     for i in range(n_trials):
-        resource = apply_phase(resources[i], 0, -theta1[i])
+        amps = dict(zip(rest_occs, res1.a_final[i, 0, :]))
+        resource = PureState(bell.n_modes - 1, amps).normalized()
+        resource = apply_phase(resource, 0, -float(res1.theta[i]))
         joint = tensor(input_state, resource)
         bsm, post = bell_measurement_single_rail(
             joint, 0, 1, _FixedUniform(rngs[i].random()))
@@ -451,7 +456,8 @@ def _batched_gate_trials(u, c0, c1, pulse, master_seed, n_trials):
 
     if phase2:
         stacks, occ_sets = [], None
-        noise2 = _wiener_increments([rngs[i] for i, _ in phase2], pulse)
+        noise2 = _wiener_increments(len(phase2), (rngs[i] for i, _ in phase2),
+                                    pulse)
         for _, st in phase2:
             a0s, occs = _reduce_measured_mode(st, 1)
             stacks.append(a0s)
@@ -485,39 +491,6 @@ def test_batched_replay_matches_scalar_gate_trials():
             assert np.isclose(rec["theta_values"][1], next(got_theta2),
                               atol=1e-12)
             assert np.isclose(rec["fidelity"], next(got_fids), atol=1e-10)
-
-
-_CHUNK_APMS = {"analytic": apm_sample,
-               "trajectory": partial(trajectory_apm,
-                                     pulse=make_pulse("flat", dt=1e-2))}
-_CHUNK_TARGETS = {"prepare": dict(spec=PrepSpec(alpha=0.6, phi=0.4)),
-                  "teleport": dict(qubit=(0.6, 0.8j)),
-                  "gate": dict(qubit=(0.6, 0.8j), u=HADAMARD)}
-
-
-@settings(max_examples=40, deadline=None)
-@given(protocol=st.sampled_from(sorted(_CHUNK_TARGETS)),
-       backend=st.sampled_from(sorted(_CHUNK_APMS)),
-       seed=st.integers(0, 2**32 - 1),
-       cuts=st.lists(st.integers(1, 12), min_size=1, max_size=4))
-def test_chunks_equal_per_trial_records(protocol, backend, seed, cuts):
-    apm, target = _CHUNK_APMS[backend], _CHUNK_TARGETS[protocol]
-    bounds = [0] + sorted(set(cuts))
-    got = []
-    for start, stop in zip(bounds, bounds[1:]):
-        got += run_protocol_chunk(protocol, apm, seed, start, stop, **target)
-    want = [run_protocol_trial(protocol, apm, seed, i, **target)
-            for i in range(bounds[-1])]
-    assert got == want
-
-
-def test_trial_rejects_a_first_apm_measured_on_another_state():
-    rng = trial_rng(3, 0)
-    out = apm_sample(dual_rail_bell(), 1, rng)
-    other = PureState(4, {(0, 1, 1, 0): 1.0})
-    with pytest.raises(RuntimeError):
-        run_protocol_trial("gate", apm_sample, 3, 0, qubit=(0.6, 0.8j),
-                           u=HADAMARD, measured=(rng, other, 1, out))
 
 
 def test_gate_trajectory_statistics_match_analytic_pipeline():

@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railsim import trajectory
 from railsim.fock import PureState, fidelity, fock_state, single_photon, vacuum
-from railsim.optics import BeamsplitterSpec, beamsplitter, dual_rail_bell
+from railsim.optics import BeamsplitterSpec, beamsplitter
 from railsim.povm import apm_density
 from railsim.stats import ks_statistic
 from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
-                                simulate_dyne, simulate_dyne_lanes)
+                                simulate_dyne)
 
 from current_profile import mean_current_profile
 from paper_checks import integrated_quadrature_check
@@ -186,23 +188,65 @@ def test_single_trajectory_equals_ensemble_lane():
     assert rec.x == ens.x[2]
 
 
-@pytest.mark.parametrize("state, mode", [(split_photon(), 0),
-                                         (dual_rail_bell(), 1)])
-def test_lanes_equal_single_trajectories(state, mode):
-    p = make_pulse("flat", dt=1e-2)
+def _kernel_runs(a0, noise, pulse):
+    """(one-lane result, lane 0 of a batch) of _evolve on ``a0``."""
     policy = FeedbackPolicy.adaptive()
-    rngs = [np.random.default_rng(seed) for seed in range(5)]
-    thetas, posteriors = simulate_dyne_lanes(state, mode, p, policy, rngs)
-    for seed, theta, post, rng in zip(range(5), thetas, posteriors, rngs):
-        ref = np.random.default_rng(seed)
-        rec, ref_post = simulate_dyne(state, mode, p, policy, ref)
-        assert theta == rec.theta
-        assert post == ref_post
-        # each lane's generator is left where simulate_dyne leaves it
-        assert rng.random() == ref.random()
-        assert np.array_equal(
-            rec.dw, np.random.default_rng(seed).standard_normal(p.n_steps)
-            * math.sqrt(p.dt))
+    one = trajectory._evolve(a0[None], noise[:1], pulse, policy)
+    batch = trajectory._evolve(np.broadcast_to(a0, (len(noise),) + a0.shape),
+                               noise, pulse, policy)
+    return one, batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 2),
+       n_rest=st.integers(1, 3),
+       shape=st.sampled_from(["flat", "raised-cosine", "expdecay:4"]),
+       dt=st.sampled_from([1e-2, 3e-3]))
+def test_one_lane_kernel_equals_batched_lane(seed, levels, n_rest, shape, dt):
+    # a lone lane runs the float loop, a batch the array loop
+    rng = np.random.default_rng(seed)
+    a0 = rng.normal(size=(levels, n_rest)) + 1j * rng.normal(size=(levels, n_rest))
+    a0 /= np.linalg.norm(a0)
+    pulse = make_pulse(shape, dt=dt)
+    noise = rng.normal(size=(3, pulse.n_steps)) * math.sqrt(dt)
+    one, batch = _kernel_runs(a0, noise, pulse)
+    assert one.theta[0] == batch.theta[0]
+    assert one.x[0] == batch.x[0]
+    assert one.residual[0] == batch.residual[0]
+    assert np.array_equal(one.a_final[0], batch.a_final[0])
+
+
+def test_phase_measurement_runs_the_float_loop(monkeypatch):
+    calls = []
+    loop = trajectory._one_kraus_lane
+    monkeypatch.setattr(trajectory, "_one_kraus_lane",
+                        lambda *a: calls.append(1) or loop(*a))
+    p = make_pulse("flat", dt=1e-2)
+    rec, _ = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
+                           np.random.default_rng(4), keep_series=False)
+    assert calls == [1]
+    # simulate_dyne's noise is standard_normal(n_steps) * sqrt(dt)
+    rec, _ = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
+                           np.random.default_rng(4))
+    assert np.array_equal(rec.dw, np.random.default_rng(4).standard_normal(
+        p.n_steps) * math.sqrt(p.dt))
+    assert calls == [1]  # keep_series runs the array loop
+
+
+def test_one_lane_divergence_is_reported_like_a_batch():
+    pulse = make_pulse("flat", dt=1e-2)
+    noise = np.zeros((2, pulse.n_steps))
+    noise[:, 5] = np.inf
+    a0, _ = trajectory._reduce_measured_mode(split_photon(), 0)
+    steps = []
+    with np.errstate(all="ignore"):
+        for lanes in (1, 2):
+            with pytest.raises(trajectory.TrajectoryDivergedError) as err:
+                trajectory._evolve(np.broadcast_to(a0, (lanes,) + a0.shape),
+                                   noise[:lanes], pulse,
+                                   FeedbackPolicy.adaptive())
+            steps.append(err.value.step)
+    assert steps[0] == steps[1]
 
 
 def test_adaptive_theta_distribution_matches_analytic_density():
