@@ -1,14 +1,15 @@
 """Simulation of adaptive phase measurements on optical rail qubits."""
 
-from .fock import (PureState, TruncationError, apply_phase, fidelity,
-                   fock_state, inner, single_photon, tensor, vacuum)
+from .fock import (OverOccupiedError, PureState, TruncationError,
+                   apply_phase, fidelity, fock_state, inner, single_photon,
+                   tensor, vacuum)
 from .optics import (HADAMARD, IDENTITY, PAULI_X, PAULI_Z, BeamsplitterSpec,
                      DualRailQubit, SingleRailQubit, beamsplitter,
                      decompose_pair_unitary, dual_rail_bell, dual_rail_unitary,
                      single_rail_bell, two_mode_unitary)
-from .povm import (ApmDensity, MeasurementOutcome, OverOccupiedError,
-                   QuadratureGrid, apm_density, apm_sample, homodyne_cdf,
-                   homodyne_density, homodyne_sample, make_grid, photon_count)
+from .povm import (ApmDensity, MeasurementOutcome, QuadratureGrid,
+                   apm_density, apm_sample, homodyne_cdf, homodyne_density,
+                   homodyne_sample, make_grid, photon_count)
 from .protocols import (BsmOutcome, GateOutcome, PrepSpec,
                         apply_single_rail_unitary, bell_measurement_single_rail,
                         dual_to_single, hybrid_bell, logical_target_fidelity,
@@ -22,13 +23,13 @@ from .trajectory import (EnsembleResult, FeedbackPolicy, PulseShape,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PureState", "TruncationError", "apply_phase", "fidelity", "fock_state",
-    "inner", "single_photon", "tensor", "vacuum",
+    "OverOccupiedError", "PureState", "TruncationError", "apply_phase",
+    "fidelity", "fock_state", "inner", "single_photon", "tensor", "vacuum",
     "HADAMARD", "IDENTITY", "PAULI_X", "PAULI_Z", "BeamsplitterSpec",
     "DualRailQubit", "SingleRailQubit", "beamsplitter",
     "decompose_pair_unitary", "dual_rail_bell", "dual_rail_unitary",
     "single_rail_bell", "two_mode_unitary",
-    "ApmDensity", "MeasurementOutcome", "OverOccupiedError", "QuadratureGrid",
+    "ApmDensity", "MeasurementOutcome", "QuadratureGrid",
     "apm_density", "apm_sample", "homodyne_cdf", "homodyne_density",
     "homodyne_sample", "make_grid", "photon_count",
     "BsmOutcome", "GateOutcome", "PrepSpec", "apply_single_rail_unitary",

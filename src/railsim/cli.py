@@ -25,12 +25,12 @@ from functools import partial
 import jsonschema
 import numpy as np
 
-from .fock import PureState, TruncationError, single_photon, vacuum
+from .fock import (OverOccupiedError, PureState, TruncationError,
+                   single_photon, vacuum)
 from .optics import (BeamsplitterSpec, HADAMARD, IDENTITY, PAULI_X, PAULI_Z,
                      beamsplitter, check_unitary, dual_rail_bell,
                      single_rail_bell)
-from .povm import (OverOccupiedError, apm_density, apm_sample, homodyne_cdf,
-                   photon_count)
+from .povm import apm_density, apm_sample, homodyne_cdf, photon_count
 from .protocols import PrepSpec, run_protocol_trial, trajectory_apm
 from .runner import chunk_ranges, map_chunks, trial_rng, worker_count
 from .stats import chi2_gof_pvalue, ks_statistic
@@ -242,6 +242,8 @@ def cmd_sample(args):
     n, seed, threads = _common_ints(args)
     backend = args.backend
     config = {"kind": kind, "state": state_name, "n": n, "seed": seed}
+    if args.delay and (kind, backend) != ("apm", "trajectory"):
+        raise ConfigError("--delay applies to trajectory apm sampling only")
 
     if kind == "count":
         if backend == "trajectory":
@@ -407,12 +409,7 @@ def cmd_trajectory(args):
     config = {"state": state_name, "mode": mode, "n": n, "seed": seed,
               "pulse": pulse.kind, "dt": pulse.dt,
               "policy": args.policy.strip().lower(), "delay": policy.loop_delay}
-    density = None
-    if adaptive:
-        try:
-            density = apm_density(state, mode)
-        except OverOccupiedError:
-            density = None  # theta still recorded; no analytic reference
+    density = apm_density(state, mode) if adaptive else None
 
     def run():
         res = run_dyne_ensemble(state, mode, pulse, policy, seed, n,

@@ -31,6 +31,10 @@ class TruncationError(Exception):
     """An operation would exceed the Fock-space capacity."""
 
 
+class OverOccupiedError(Exception):
+    """A phase measurement met a mode with support on n >= 2."""
+
+
 def _check_occupation(occ, n_modes: int) -> tuple:
     """(occ as a tuple of ints, whether it exceeds the caps)."""
     occ = tuple(map(int, occ))

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import N_MAX, PureState, project_mode
+from .fock import N_MAX, OverOccupiedError, PureState, project_mode
 from .stats import trapezoid_cdf
 
 GRID_X_MIN = -8.0
@@ -30,10 +30,6 @@ GRID_POINTS = 4001
 
 # Tolerated squared-magnitude weight on occupations >= 2 for the APM.
 APM_OCCUPATION_TOL = 1e-12
-
-
-class OverOccupiedError(Exception):
-    """The APM was asked to measure a mode with support on n >= 2."""
 
 
 @dataclass

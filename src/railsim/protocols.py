@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PureState, apply_phase, fidelity, single_photon, tensor
+from .fock import (OverOccupiedError, PureState, apply_phase, fidelity,
+                   single_photon, tensor)
 from .optics import (BeamsplitterSpec, DualRailQubit, SingleRailQubit,
                      beamsplitter, dual_rail_bell, dual_rail_unitary)
-from .povm import (MeasurementOutcome, OverOccupiedError, apm_density,
-                   apm_sample, photon_count)
+from .povm import MeasurementOutcome, apm_density, apm_sample, photon_count
 from .runner import trial_rng
 from .trajectory import FeedbackPolicy, PulseShape, simulate_dyne
 

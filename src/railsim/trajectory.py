@@ -32,11 +32,10 @@ over the other modes, after k steps the unnormalized state is
 and xbar_k needs only q_k, d_k and the Gram matrix of a_0, so a step
 costs a few scalar operations per trajectory whatever the size of the
 rest of the state.  A measured mode holding two or more photons is
-stepped explicitly on the full amplitude array, with per-step
-renormalization.  The time grid is truncated at the last step with
-end-of-step U <= 1 - EPS_END, which bounds gamma_k dt < 1 (stability) at
-the cost of leaving a residual excitation weight of order u(T) dt that
-is projected onto vacuum at the end.
+refused with ``OverOccupiedError``.  The time grid is truncated at the
+last step with end-of-step U <= 1 - EPS_END, which bounds gamma_k dt < 1
+(stability) at the cost of leaving a residual excitation weight of order
+u(T) dt that is projected onto vacuum at the end.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .fock import PureState
+from .fock import OverOccupiedError, PureState
 from .runner import DEFAULT_CHUNK, chunk_ranges, map_chunks, trial_rng
 
 EPS_END = 1e-6
@@ -245,11 +244,15 @@ class _KrausLanes:
     Each lane carries p = conj(q_k) as (real, imaginary) on a leading
     axis of two, and the Gram matrix of its own a0 (g00, g11 and
     g01 = sum conj(a0[0]) a0[1]); d_k is shared.  A vacuum-only mode is
-    the case g01 = g11 = 0.
+    the case g01 = g11 = 0.  More than two levels raise
+    ``OverOccupiedError``.
     """
 
     def __init__(self, a0, sqrt_gamma, half_gamma_dt):
         self.levels = a0.shape[1]
+        if self.levels > 2:
+            raise OverOccupiedError(f"measured mode holds {self.levels - 1} "
+                                    "photons; the dyne kernel takes at most one")
         self.row0 = row0 = a0[:, 0, :]
         self.row1 = row1 = a0[:, 1, :] if self.levels == 2 else np.zeros_like(row0)
         self.g00 = (row0.real ** 2 + row0.imag ** 2).sum(axis=1)
@@ -285,59 +288,22 @@ class _KrausLanes:
         return rows[:, :self.levels]
 
 
-class _StateLanes:
-    """Lanes of any occupation, stepped on the full amplitude array.
-
-    Explicit application of M_k with the previous step's normalization
-    folded in, so the array stays near unit norm.  ``project`` keeps the
-    norm and phase factor that the following ``step`` reuses.
-    """
-
-    def __init__(self, a0, sqrt_gamma, half_gamma_dt):
-        self.a = np.array(a0, dtype=complex)
-        self.n_arr = np.arange(a0.shape[1], dtype=float)
-        self.raise_w = np.sqrt(self.n_arr[1:])  # sqrt(n+1) couples |n+1> -> |n>
-        self.sqrt_gamma = sqrt_gamma
-        self.half_gamma_dt = half_gamma_dt
-
-    def project(self, k, cs):
-        a = self.a
-        self.norm2 = (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))
-        amean = np.zeros(len(a), dtype=complex)
-        for n in range(len(self.raise_w)):
-            amean += self.raise_w[n] * (a[:, n, :].conj() * a[:, n + 1, :]).sum(axis=1)
-        self.eiph = cs[0] - 1j * cs[1]
-        return self.norm2, (self.eiph * amean).real
-
-    def step(self, k, cs, jdt):
-        a = self.a
-        coupling = (self.sqrt_gamma[k] * jdt) * self.eiph
-        upper = a[:, 1:, :] * self.raise_w[None, :, None]
-        a *= (1.0 - self.half_gamma_dt[k] * self.n_arr)[None, :, None]
-        a[:, :-1, :] += coupling[:, None, None] * upper
-        a *= (1.0 / np.sqrt(self.norm2))[:, None, None]
-
-    def rows(self):
-        return self.a
-
-
 def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
             policy: FeedbackPolicy, keep_series: bool = False) -> _KernelResult:
     """Run the per-step update for a batch of trajectories.
 
     ``a0`` has shape (batch, levels, n_rest) and may differ per lane;
-    ``noise`` holds the Wiener increments, shape (batch, n_steps).  A
-    measured mode with at most one photon (levels <= 2) runs in Kraus
-    form (:class:`_KrausLanes`), a few scalars per lane and step; more
-    photons run on the full amplitude array (:class:`_StateLanes`).
-    All per-step operations are elementwise across the batch, so each
-    trajectory's floating point path is identical no matter how trials
-    are batched.  A lone adaptive Kraus lane with no loop delay, the
-    phase measurement of a protocol trial, runs the same operations on
-    Python floats (:func:`_one_kraus_lane`).  ``a_final`` holds the
-    normalized final rows.
+    ``noise`` holds the Wiener increments, shape (batch, n_steps).  Every
+    lane runs in Kraus form (:class:`_KrausLanes`), a few scalars per
+    lane and step; a measured mode with two or more photons (levels > 2)
+    raises ``OverOccupiedError``.  All per-step operations are
+    elementwise across the batch, so each trajectory's floating point
+    path is identical no matter how trials are batched.  A lone adaptive
+    lane with no loop delay, the phase measurement of a protocol trial,
+    runs the same operations on Python floats (:func:`_one_kraus_lane`).
+    ``a_final`` holds the normalized final rows.
     """
-    batch, levels, _ = a0.shape
+    batch = len(a0)
     n_steps = pulse.n_steps
     dt = pulse.dt
     adaptive = policy.kind == "adaptive"
@@ -355,10 +321,9 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
         inv_sqrt_cum = np.where(pulse.cum_end > 0.0,
                                 1.0 / np.sqrt(np.maximum(pulse.cum_end, 1e-300)),
                                 0.0).tolist()
-    lanes = (_KrausLanes if levels <= 2 else _StateLanes)(a0, sqrt_gamma,
-                                                         half_gamma_dt)
+    lanes = _KrausLanes(a0, sqrt_gamma, half_gamma_dt)
 
-    if batch == 1 and levels <= 2 and adaptive and lag == 0 and not keep_series:
+    if batch == 1 and adaptive and lag == 0 and not keep_series:
         lane = _one_kraus_lane(lanes, noise[0], drive, sqrt_u, inv_sqrt_cum)
         if lane is not None:
             p_re, p_im, s, x = lane
@@ -479,7 +444,8 @@ def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
     Returns (TrajectoryRecord, posterior): the posterior is the
     normalized state of the remaining modes after the measured mode's
     truncated-tail excitation is projected onto vacuum (the discarded
-    weight is reported on the record).
+    weight is reported on the record).  Raises ``OverOccupiedError`` if
+    ``mode`` holds two or more photons.
     """
     a0, rest_occs = _reduce_measured_mode(state, mode)
     noise = _wiener_increments(1, [rng], pulse)
@@ -553,7 +519,8 @@ def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
 
     Trial i draws its noise from the (master_seed, i) stream; chunking
     and reduction order are fixed, so results are bit-identical for a
-    given master seed regardless of the worker count.
+    given master seed regardless of the worker count.  Raises
+    ``OverOccupiedError`` if ``mode`` holds two or more photons.
     """
     a0, _ = _reduce_measured_mode(state, mode)
     if want_fidelity and (policy.kind != "adaptive" or a0.shape[0] < 2):

@@ -1,0 +1,47 @@
+"""The dyne step on the full amplitude array, the Kraus form's oracle.
+
+``railsim.trajectory._evolve`` steps every lane in Kraus form, one
+complex coefficient per lane.  This class applies M_k explicitly to the
+whole (batch, levels, n_rest) array instead.  It has the constructor,
+``project``, ``step`` and ``rows`` of ``trajectory._KrausLanes``, so a
+test can patch it in as ``_KrausLanes`` and compare the two forms on the
+same noise.  It accepts any number of levels.
+"""
+
+import numpy as np
+
+
+class StateLanes:
+    """Lanes of any occupation, stepped on the full amplitude array.
+
+    Explicit application of M_k with the previous step's normalization
+    folded in, so the array stays near unit norm.  ``project`` keeps the
+    norm and phase factor that the following ``step`` reuses.
+    """
+
+    def __init__(self, a0, sqrt_gamma, half_gamma_dt):
+        self.a = np.array(a0, dtype=complex)
+        self.n_arr = np.arange(a0.shape[1], dtype=float)
+        self.raise_w = np.sqrt(self.n_arr[1:])  # sqrt(n+1) couples |n+1> -> |n>
+        self.sqrt_gamma = sqrt_gamma
+        self.half_gamma_dt = half_gamma_dt
+
+    def project(self, k, cs):
+        a = self.a
+        self.norm2 = (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))
+        amean = np.zeros(len(a), dtype=complex)
+        for n in range(len(self.raise_w)):
+            amean += self.raise_w[n] * (a[:, n, :].conj() * a[:, n + 1, :]).sum(axis=1)
+        self.eiph = cs[0] - 1j * cs[1]
+        return self.norm2, (self.eiph * amean).real
+
+    def step(self, k, cs, jdt):
+        a = self.a
+        coupling = (self.sqrt_gamma[k] * jdt) * self.eiph
+        upper = a[:, 1:, :] * self.raise_w[None, :, None]
+        a *= (1.0 - self.half_gamma_dt[k] * self.n_arr)[None, :, None]
+        a[:, :-1, :] += coupling[:, None, None] * upper
+        a *= (1.0 / np.sqrt(self.norm2))[:, None, None]
+
+    def rows(self):
+        return self.a

@@ -106,6 +106,11 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert main(["sample", "apm", "--n", "0"]) == 2
     assert main(["trajectory", "--policy", "homodyne", "--delay", "0.1"]) == 2
     assert main(["trajectory", "--pulse", "square"]) == 2
+    # a loop delay exists only where a trajectory runs the adaptive policy
+    for argv in (["sample", "homodyne"],
+                 ["sample", "homodyne", "--backend", "trajectory"],
+                 ["sample", "apm"], ["sample", "count"]):
+        assert main(argv + ["--delay", "0.3"]) == 2, argv
     # numbers inside a state, input or policy specification must be finite
     assert main(["gate", "--input", "qubit:0.5,nan", "--n", "4"]) == 2
     assert main(["sample", "apm", "--state", "qubit:inf,0"]) == 2

@@ -47,6 +47,9 @@ def test_trajectory_and_povm_are_independent_oracles():
     trajectory, povm = package_imports("trajectory"), package_imports("povm")
     assert "povm" not in trajectory and "stats" not in trajectory
     assert "trajectory" not in povm
+    # both refuse a mode with two photons with the container's error
+    assert railsim.OverOccupiedError is railsim.fock.OverOccupiedError
+    assert railsim.povm.OverOccupiedError is railsim.fock.OverOccupiedError
 
 
 ROOT = Path(__file__).resolve().parent.parent

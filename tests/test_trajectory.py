@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railsim import trajectory
-from railsim.fock import PureState, fidelity, fock_state, single_photon, vacuum
+from railsim.fock import (OverOccupiedError, PureState, fidelity, fock_state,
+                         single_photon, vacuum)
 from railsim.optics import BeamsplitterSpec, beamsplitter
 from railsim.povm import apm_density
 from railsim.stats import ks_statistic
@@ -17,6 +18,7 @@ from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
 
 from current_profile import mean_current_profile
 from paper_checks import integrated_quadrature_check
+from state_lanes import StateLanes
 
 
 def plus_state(phi0: float = 0.0) -> PureState:
@@ -287,22 +289,26 @@ def test_integrated_quadrature_matches_marginal_distribution():
 
 
 def test_two_photon_input_diverges_loudly_or_is_rejected(monkeypatch):
-    # the integrator itself is generic; the phase estimate is only
-    # meaningful on <=1 photon, which protocol code checks separately.
-    # Two photons in the measured mode run the state form.
-    monkeypatch.setattr(trajectory, "_KrausLanes", _refuse)
+    # the Kraus form holds at most one photon in the measured mode, so
+    # two photons are rejected on every route into the kernel, also from
+    # a worker of the fork pool
     p = make_pulse("flat", dt=1e-3)
-    rng = np.random.default_rng(14)
-    rec, post = simulate_dyne(fock_state((2,)), 0, p,
-                              FeedbackPolicy.homodyne(0.0), rng)
+    two = fock_state((2,))
+    policy = FeedbackPolicy.homodyne(0.0)
+    with pytest.raises(OverOccupiedError):
+        simulate_dyne(two, 0, p, policy, np.random.default_rng(14))
+    for extra in ({"threads": 1}, {"threads": 2, "chunk_size": 1}):
+        with pytest.raises(OverOccupiedError):
+            run_dyne_ensemble(two, 0, p, policy, master_seed=14, n_trials=2,
+                              **extra)
+    # the full-array oracle runs it and stays finite
+    monkeypatch.setattr(trajectory, "_KrausLanes", StateLanes)
+    rec, post = simulate_dyne(two, 0, p, policy, np.random.default_rng(14))
     assert np.isfinite(rec.x)
     assert post.n_modes == 0
 
 
 # ---- kernel forms ----
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("kernel form used on the wrong input")
 
 
 def _random_rows(rng, batch, levels, n_rest):
@@ -324,18 +330,16 @@ POLICIES = {
 @pytest.mark.parametrize("rest_modes", [1, 2, 3])
 @pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES.keys())
 def test_kraus_form_matches_state_form(monkeypatch, policy, rest_modes):
-    # the state form, forced onto <=1-photon inputs, is the oracle
+    # the full-array stepper of the tests, on <=1-photon inputs, is the oracle
     rng = np.random.default_rng(17 + rest_modes)
     p = make_pulse("raised-cosine", dt=1e-3)
     for levels in (1, 2):
         a0 = _random_rows(rng, 5, levels, 2 ** rest_modes)
         noise = rng.standard_normal((5, p.n_steps)) * math.sqrt(p.dt)
+        kraus = trajectory._evolve(a0, noise, p, policy, keep_series=True)
+        bare = trajectory._evolve(a0, noise, p, policy)
         with monkeypatch.context() as m:
-            m.setattr(trajectory, "_StateLanes", _refuse)
-            kraus = trajectory._evolve(a0, noise, p, policy, keep_series=True)
-            bare = trajectory._evolve(a0, noise, p, policy)
-        with monkeypatch.context() as m:
-            m.setattr(trajectory, "_KrausLanes", trajectory._StateLanes)
+            m.setattr(trajectory, "_KrausLanes", StateLanes)
             ref = trajectory._evolve(a0, noise, p, policy, keep_series=True)
         dtheta = np.angle(np.exp(1j * (kraus.theta - ref.theta)))
         assert np.max(np.abs(dtheta)) < 1e-12
