@@ -5,8 +5,8 @@ from .fock import (OverOccupiedError, PureState, TruncationError,
                    tensor, vacuum)
 from .optics import (HADAMARD, IDENTITY, PAULI_X, PAULI_Z, BeamsplitterSpec,
                      DualRailQubit, SingleRailQubit, beamsplitter,
-                     decompose_pair_unitary, dual_rail_bell, dual_rail_unitary,
-                     single_rail_bell, two_mode_unitary)
+                     dual_rail_bell, dual_rail_unitary, single_rail_bell,
+                     two_mode_unitary)
 from .povm import (ApmDensity, MeasurementOutcome, QuadratureGrid,
                    apm_density, apm_sample, homodyne_cdf, homodyne_density,
                    homodyne_sample, make_grid, photon_count)
@@ -27,7 +27,7 @@ __all__ = [
     "fidelity", "fock_state", "inner", "single_photon", "tensor", "vacuum",
     "HADAMARD", "IDENTITY", "PAULI_X", "PAULI_Z", "BeamsplitterSpec",
     "DualRailQubit", "SingleRailQubit", "beamsplitter",
-    "decompose_pair_unitary", "dual_rail_bell", "dual_rail_unitary",
+    "dual_rail_bell", "dual_rail_unitary",
     "single_rail_bell", "two_mode_unitary",
     "ApmDensity", "MeasurementOutcome", "QuadratureGrid",
     "apm_density", "apm_sample", "homodyne_cdf", "homodyne_density",

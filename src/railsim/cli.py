@@ -30,7 +30,8 @@ from .fock import (OverOccupiedError, PureState, TruncationError,
 from .optics import (BeamsplitterSpec, HADAMARD, IDENTITY, PAULI_X, PAULI_Z,
                      beamsplitter, check_unitary, dual_rail_bell,
                      single_rail_bell)
-from .povm import apm_density, apm_sample, homodyne_cdf, photon_count
+from .povm import (apm_density, apm_sample, homodyne_cdf, homodyne_invert,
+                   photon_count)
 from .protocols import PrepSpec, run_protocol_trial, trajectory_apm
 from .runner import chunk_ranges, map_chunks, trial_rng, worker_count
 from .stats import chi2_gof_pvalue, ks_statistic
@@ -194,12 +195,8 @@ def _apm_chunk(bounds, state, mode, seed):
 
 def _homodyne_chunk(bounds, xs, pdf, cdf, seed):
     start, stop = bounds
-    out = []
-    for i in range(start, stop):
-        u = trial_rng(seed, i).random() * cdf[-1]
-        x = float(np.interp(u, cdf, xs))
-        out.append((x, float(np.interp(x, xs, pdf))))
-    return out
+    return [homodyne_invert(xs, pdf, cdf, trial_rng(seed, i).random())
+            for i in range(start, stop)]
 
 
 def _count_chunk(bounds, state, modes, seed):

@@ -3,9 +3,11 @@
 States live in one fixed truncated Fock space: occupation per mode is
 capped at ``N_MAX`` and the total photon number at ``N_TOTAL_MAX``, which
 covers every state the single-rail protocols reach.  Amplitudes are
-kept in a dict keyed by occupation tuples; anything below ``PRUNE_EPS``
-in squared magnitude is dropped so states stay sparse.  All operations
-are value-semantic and return new states.
+kept in a dict keyed by occupation tuples and stored in lexicographic
+occupation order, so iteration is reproducible without sorting on
+read; anything below ``PRUNE_EPS`` in squared magnitude is dropped so
+states stay sparse.  All operations are value-semantic and return new
+states.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ MAX_MODES = 12
 # Occupation caps: photons per mode, and photons in the whole state.
 N_MAX = 2
 N_TOTAL_MAX = 4
+
+# Largest relative weight on two or more photons that a phase
+# measurement tolerates on the mode (or dual-rail pair) it measures.
+APM_OCCUPATION_TOL = 1e-12
 
 _ZERO_WEIGHT = 1e-30
 
@@ -61,7 +67,8 @@ class PureState:
         Number of modes.  Mode indices run from 0 to ``n_modes - 1``.
     amplitudes : dict
         Map from occupation tuples (length ``n_modes``) to complex
-        amplitudes.  Not required to be normalized.
+        amplitudes.  Not required to be normalized.  Stored in
+        lexicographic occupation order.
     """
 
     n_modes: int
@@ -96,15 +103,15 @@ class PureState:
                     f"N_TOTAL_MAX={N_TOTAL_MAX}"
                 )
             cleaned[occ] = amp
-        self.amplitudes = cleaned
+        self.amplitudes = dict(sorted(cleaned.items()))
 
-    def items(self) -> list:
+    def items(self):
         """Amplitude entries in lexicographic occupation order.
 
         Iteration order is fixed so that runs are bit-reproducible
         given a seed.
         """
-        return sorted(self.amplitudes.items())
+        return self.amplitudes.items()
 
     def amp(self, occ: Sequence[int]) -> complex:
         return self.amplitudes.get(tuple(occ), 0.0 + 0.0j)
@@ -125,7 +132,7 @@ class PureState:
         return PureState(self.n_modes, {occ: z * a for occ, a in self.items()})
 
     def __repr__(self):
-        terms = ", ".join(f"{occ}: {a:.6g}" for occ, a in self.items()[:6])
+        terms = ", ".join(f"{occ}: {a:.6g}" for occ, a in list(self.items())[:6])
         more = "" if len(self.amplitudes) <= 6 else ", ..."
         return f"PureState({self.n_modes} modes, {{{terms}{more}}})"
 
@@ -166,9 +173,10 @@ def inner(a: PureState, b: PureState) -> complex:
     """Inner product <a|b> (conjugate-linear in ``a``)."""
     if a.n_modes != b.n_modes:
         raise ValueError("states have different mode counts")
-    # Iterate the smaller dict; accumulate in lexicographic order.
-    keys = sorted(set(a.amplitudes) & set(b.amplitudes))
-    return sum((a.amplitudes[k].conjugate() * b.amplitudes[k] for k in keys), 0.0 + 0.0j)
+    # Accumulate over shared occupations in lexicographic order.
+    amps_b = b.amplitudes
+    return sum((amp.conjugate() * amps_b[k] for k, amp in a.items() if k in amps_b),
+               0.0 + 0.0j)
 
 
 def fidelity(a: PureState, b: PureState) -> float:
@@ -221,8 +229,12 @@ def project_mode(state: PureState, mode: int, bra_coeffs: Iterable[complex]):
             continue
         rest = occ[:mode] + occ[mode + 1:]
         amps[rest] = amps.get(rest, 0.0 + 0.0j) + c * amp
-    posterior = PureState(state.n_modes - 1, amps)
-    weight = posterior.norm_sq()
+    # Entries that the constructor would prune before scaling carry no
+    # weight (written as its test, so a NaN entry is kept and shows).
+    kept = [(rest, amp) for rest, amp in sorted(amps.items())
+            if not abs(amp) ** 2 < PRUNE_EPS]
+    weight = sum(abs(amp) ** 2 for _, amp in kept)
     if weight < _ZERO_WEIGHT:
         raise ValueError("projection weight vanishes")
-    return weight, posterior.scaled(1.0 / math.sqrt(weight))
+    z = 1.0 / math.sqrt(weight)
+    return weight, PureState(state.n_modes - 1, {rest: z * amp for rest, amp in kept})

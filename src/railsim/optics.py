@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import PureState, apply_phase
+from .fock import PureState
 
 UNITARITY_TOL = 1e-10
 
@@ -163,53 +163,18 @@ def beamsplitter(state: PureState, spec: BeamsplitterSpec) -> PureState:
     return two_mode_unitary(state, spec.m1, spec.m2, spec.matrix())
 
 
-def decompose_pair_unitary(m: np.ndarray):
-    """Split a 2x2 unitary into phase / beamsplitter / phase layers.
-
-    Returns (g0, g1, eta, b0, b1) such that
-    ``diag(e^{i b0}, e^{i b1}) @ B(eta) @ diag(e^{i g0}, e^{i g1})``
-    reproduces ``m`` exactly (no leftover global phase).
-    """
-    m = check_unitary(m)
-    eta = min(1.0, max(0.0, abs(m[0, 0]) ** 2))
-    if eta > 1.0 - 1e-12:
-        # Diagonal: B(1) = diag(1, -1).
-        return 0.0, 0.0, 1.0, float(np.angle(m[0, 0])), float(np.angle(m[1, 1])) + math.pi
-    if eta < 1e-12:
-        # Anti-diagonal: B(0) is the swap.
-        return 0.0, 0.0, 0.0, float(np.angle(m[0, 1])), float(np.angle(m[1, 0]))
-    b0 = float(np.angle(m[0, 1]))
-    g0 = float(np.angle(m[0, 0])) - b0
-    b1 = float(np.angle(m[1, 1])) + math.pi
-    g1 = 0.0
-    return g0, g1, eta, b0, b1
-
-
 def dual_rail_unitary(state: PureState, qubit: DualRailQubit, u: np.ndarray) -> PureState:
     """Apply the logical unitary ``u`` to a dual-rail qubit.
 
-    Realized physically as phase shifters around a single beamsplitter.
-    On the logical subspace amplitudes transform by ``u``; other photon
-    number sectors transform as the same optics dictates.
+    The logical basis (|01>, |10>) is the one-photon mode basis
+    (|10>, |01>) read in reverse, so the mode matrix on (rail0, rail1)
+    is ``u`` with both axes reversed.  On the logical subspace
+    amplitudes transform by ``u``; other photon number sectors transform
+    as the same optics dictates.  In hardware this is phase shifters
+    around a single beamsplitter (Reck et al., PRL 73, 58 (1994)).
     """
-    u = check_unitary(u)
-    g0, g1, eta, b0, b1 = _dual_rail_layers(u.tobytes())
-    r0, r1 = qubit.rail0, qubit.rail1
-    out = apply_phase(state, r0, g0)
-    out = apply_phase(out, r1, g1)
-    out = beamsplitter(out, BeamsplitterSpec(r0, r1, eta))
-    out = apply_phase(out, r0, b0)
-    out = apply_phase(out, r1, b1)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _dual_rail_layers(key: bytes) -> tuple:
-    """Phase / beamsplitter / phase layers of a logical unitary."""
-    # The logical basis (|01>, |10>) is the one-photon mode basis
-    # (|10>, |01>) read in the opposite order, so conjugate by a swap.
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    return decompose_pair_unitary(swap @ _matrix(key) @ swap)
+    return two_mode_unitary(state, qubit.rail0, qubit.rail1,
+                            check_unitary(u)[::-1, ::-1])
 
 
 def single_rail_bell() -> PureState:

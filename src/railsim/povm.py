@@ -21,15 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import N_MAX, OverOccupiedError, PureState, project_mode
+from .fock import (APM_OCCUPATION_TOL, N_MAX, OverOccupiedError, PureState,
+                   project_mode)
 from .stats import trapezoid_cdf
 
 GRID_X_MIN = -8.0
 GRID_X_MAX = 8.0
 GRID_POINTS = 4001
-
-# Tolerated squared-magnitude weight on occupations >= 2 for the APM.
-APM_OCCUPATION_TOL = 1e-12
 
 
 @dataclass
@@ -130,11 +128,14 @@ def photon_count(state: PureState, modes, rng: np.random.Generator) -> Measureme
         if u < acc:
             counts = key
             break
-    posterior = state
-    for m, c in sorted(zip(modes, counts), reverse=True):
-        bra = [0.0] * (N_MAX + 1)
-        bra[c] = 1.0
-        _, posterior = project_mode(posterior, m, bra)
+    # Keep the entries with the drawn counts, drop the measured modes
+    # and normalize, in one construction.
+    rest_modes = [m for m in range(state.n_modes) if m not in modes]
+    z = 1.0 / math.sqrt(probs[counts] * total)
+    posterior = PureState(len(rest_modes), {
+        tuple(occ[m] for m in rest_modes): z * amp
+        for occ, amp in state.items()
+        if tuple(occ[m] for m in modes) == counts})
     return MeasurementOutcome(value=counts, posterior=posterior,
                               density=probs[counts])
 
@@ -161,11 +162,21 @@ def homodyne_cdf(state: PureState, mode: int, phi: float = 0.0):
     """Tabulated (x, pdf, cdf) of the quadrature X_phi of one mode.
 
     The cdf is the trapezoid integral of the pdf; its last entry is the
-    total weight (1 up to grid truncation).  ``np.interp(u * cdf[-1],
-    cdf, x)`` inverts it.
+    total weight (1 up to grid truncation).  :func:`homodyne_invert`
+    inverts it.
     """
     grid_x, density = homodyne_density(state, mode, phi)
     return grid_x, density, trapezoid_cdf(density, float(grid_x[1] - grid_x[0]))
+
+
+def homodyne_invert(grid_x, density, cdf, u: float) -> tuple:
+    """Inverse-CDF draw from a tabulated quadrature density.
+
+    Maps the uniform ``u`` in [0, 1) to x by linear interpolation of the
+    cdf from :func:`homodyne_cdf`; returns (x, pdf interpolated at x).
+    """
+    x = float(np.interp(u * cdf[-1], cdf, grid_x))
+    return x, float(np.interp(x, grid_x, density))
 
 
 def homodyne_sample(state: PureState, mode: int, phi: float,
@@ -177,12 +188,9 @@ def homodyne_sample(state: PureState, mode: int, phi: float,
     follows by projecting the mode onto the bra with coefficients
     psi_n(x) e^{-i n phi}.
     """
-    grid_x, density, cdf = homodyne_cdf(state, mode, phi)
-    phases = np.exp(-1j * phi * np.arange(N_MAX + 1))
-    x_val = float(np.interp(rng.random() * cdf[-1], cdf, grid_x))
-    bra = quad_psi(N_MAX, x_val) * phases
+    x_val, p_val = homodyne_invert(*homodyne_cdf(state, mode, phi), rng.random())
+    bra = quad_psi(N_MAX, x_val) * np.exp(-1j * phi * np.arange(N_MAX + 1))
     _, posterior = project_mode(state, mode, bra)
-    p_val = float(np.interp(x_val, grid_x, density))
     return MeasurementOutcome(value=x_val, posterior=posterior,
                               density=p_val)
 

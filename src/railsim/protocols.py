@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (OverOccupiedError, PureState, apply_phase, fidelity,
-                   single_photon, tensor)
+from .fock import (APM_OCCUPATION_TOL, OverOccupiedError, PureState,
+                   apply_phase, fidelity, single_photon, tensor)
 from .optics import (BeamsplitterSpec, DualRailQubit, SingleRailQubit,
                      beamsplitter, dual_rail_bell, dual_rail_unitary)
 from .povm import MeasurementOutcome, apm_density, apm_sample, photon_count
@@ -95,7 +95,7 @@ def _check_dual_occupancy(state: PureState, q: DualRailQubit):
     total = state.norm_sq()
     bad = sum(abs(a) ** 2 for occ, a in state.items()
               if occ[q.rail0] + occ[q.rail1] >= 2) / total
-    if bad > 1e-12:
+    if bad > APM_OCCUPATION_TOL:
         raise OverOccupiedError(
             f"rails ({q.rail0}, {q.rail1}) carry weight {bad:.3g} on >= 2 photons"
         )

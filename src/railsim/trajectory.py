@@ -47,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .fock import OverOccupiedError, PureState
+from .fock import APM_OCCUPATION_TOL, OverOccupiedError, PureState
 from .runner import DEFAULT_CHUNK, chunk_ranges, map_chunks, trial_rng
 
 EPS_END = 1e-6
@@ -112,8 +112,8 @@ def make_pulse(shape: str, dt: float = 1e-4) -> PulseShape:
     elif kind.startswith("expdecay"):
         _, _, arg = kind.partition(":")
         rate = float(arg) if arg else 4.0
-        if rate <= 0:
-            raise ValueError("expdecay rate must be positive")
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"expdecay rate must be finite and positive, got {rate:g}")
         u = rate * np.exp(-rate * t)
         kind = f"expdecay:{rate:g}"
     else:
@@ -200,13 +200,20 @@ def _reduce_measured_mode(state: PureState, mode: int):
     matrix of the normalized state; rest_occs the lexicographically
     sorted occupation tuples of the remaining modes.  The rest basis is
     orthonormal, so inner products reduce to plain dot products on rows.
+    Rows with two or more photons are dropped when their relative weight
+    is at most ``APM_OCCUPATION_TOL``, the analytic APM's tolerance; above
+    it they are kept, and the kernel refuses them.
     """
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
-    norm = state.norm()
-    if norm == 0:
+    norm_sq = state.norm_sq()
+    if norm_sq == 0:
         raise ValueError("cannot simulate a zero state")
     entries = state.items()
+    over = sum(abs(amp) ** 2 for occ, amp in entries if occ[mode] >= 2)
+    if over / norm_sq <= APM_OCCUPATION_TOL:
+        entries = [(occ, amp) for occ, amp in entries if occ[mode] < 2]
+    norm = math.sqrt(norm_sq)
     rest_occs = sorted({occ[:mode] + occ[mode + 1:] for occ, _ in entries})
     index = {rest: j for j, rest in enumerate(rest_occs)}
     levels = max(occ[mode] for occ, _ in entries) + 1

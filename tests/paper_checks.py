@@ -2,8 +2,9 @@
 
 Each one builds on public railsim functions: the completeness of the
 phase POVM, the homodyne comparison to the adaptive preparation, the
-integrated dyne current against the analytic quadrature density, and
-the KS distance to a uniform phase marginal.
+integrated dyne current against the analytic quadrature density, the
+KS distance to a uniform phase marginal, and the phase / beamsplitter /
+phase realization of a two-mode unitary.
 """
 
 import math
@@ -11,9 +12,9 @@ import math
 import numpy as np
 
 from railsim.fock import single_photon
-from railsim.optics import BeamsplitterSpec, beamsplitter
-from railsim.povm import homodyne_density, homodyne_sample
-from railsim.stats import ks_statistic, trapezoid_cdf
+from railsim.optics import BeamsplitterSpec, beamsplitter, check_unitary
+from railsim.povm import homodyne_cdf, homodyne_sample
+from railsim.stats import ks_statistic
 from railsim.trajectory import FeedbackPolicy, run_dyne_ensemble
 
 
@@ -57,7 +58,30 @@ def integrated_quadrature_check(state, mode, pulse, phi, master_seed,
     homodyne density of the same state at LO phase ``phi``."""
     result = run_dyne_ensemble(state, mode, pulse, FeedbackPolicy.homodyne(phi),
                                master_seed, n_trials)
-    grid_x, pdf = homodyne_density(state, mode, phi)
-    cdf = trapezoid_cdf(pdf, grid_x[1] - grid_x[0])
+    grid_x, _, cdf = homodyne_cdf(state, mode, phi)
     cdf /= cdf[-1]
     return ks_statistic(result.x, lambda v: np.interp(v, grid_x, cdf))
+
+
+def decompose_pair_unitary(m: np.ndarray):
+    """Split a 2x2 unitary into phase / beamsplitter / phase layers.
+
+    Returns (g0, g1, eta, b0, b1) such that
+    ``diag(e^{i b0}, e^{i b1}) @ B(eta) @ diag(e^{i g0}, e^{i g1})``
+    reproduces ``m`` exactly (no leftover global phase), with B(eta) the
+    package's beamsplitter matrix: the hardware that realizes a
+    dual-rail gate (Reck et al., PRL 73, 58 (1994)).
+    """
+    m = check_unitary(m)
+    eta = min(1.0, max(0.0, abs(m[0, 0]) ** 2))
+    if eta > 1.0 - 1e-12:
+        # Diagonal: B(1) = diag(1, -1).
+        return 0.0, 0.0, 1.0, float(np.angle(m[0, 0])), float(np.angle(m[1, 1])) + math.pi
+    if eta < 1e-12:
+        # Anti-diagonal: B(0) is the swap.
+        return 0.0, 0.0, 0.0, float(np.angle(m[0, 1])), float(np.angle(m[1, 0]))
+    b0 = float(np.angle(m[0, 1]))
+    g0 = float(np.angle(m[0, 0])) - b0
+    b1 = float(np.angle(m[1, 1])) + math.pi
+    g1 = 0.0
+    return g0, g1, eta, b0, b1

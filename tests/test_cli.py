@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import importlib.resources
@@ -116,6 +118,16 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert main(["sample", "apm", "--state", "qubit:inf,0"]) == 2
     assert main(["trajectory", "--policy", "homodyne:nan"]) == 2
     assert main(["trajectory", "--policy", "heterodyne:inf"]) == 2
+    # a pulse rate must be finite and positive; it is refused before numpy
+    # evaluates the envelope, so no RuntimeWarning is raised
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for rate in ("inf", "nan"):
+            assert main(["trajectory", "--pulse", f"expdecay:{rate}"]) == 2, rate
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.count("finite and positive") == 2
+    assert "RuntimeWarning" not in err
     # config-file values get the checks of the flags they stand for
     cfg = tmp_path / "cfg.json"
     for raw, argv in (({"state": 5}, ["sample", "apm"]),
@@ -144,6 +156,21 @@ def test_non_finite_float_flags_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
     assert "finite" in capsys.readouterr().err
+
+
+def _readme_commands():
+    text = (REPO_ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("railsim ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids="_".join)
+def test_readme_command_lines_run(argv, capsys, tmp_path, monkeypatch):
+    # each documented command runs as written, at a small trial count
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--n", "20"]) == 0
+    validate(json.loads(capsys.readouterr().out))
 
 
 # ---- sampling commands ----

@@ -11,6 +11,7 @@ from railsim import fock
 from railsim.fock import (PureState, TruncationError, apply_phase, fidelity,
                           fock_state, inner, project_mode, single_photon,
                           tensor, vacuum)
+from railsim.optics import HADAMARD, two_mode_unitary
 
 
 def test_basis_state_roundtrip():
@@ -33,6 +34,21 @@ class _ListKeys(dict):
 # call hits the memo wherever the first stored a result) and once with
 # list occupations (the unmemoized path).
 KEY_FORMS = (dict, dict, _ListKeys)
+
+
+def test_amplitudes_iterate_in_lexicographic_order():
+    def assert_sorted(state):
+        keys = list(state.amplitudes)
+        assert keys == sorted(keys)
+        assert [occ for occ, _ in state.items()] == keys
+
+    state = PureState(2, {(1, 1): 0.5, (0, 2): 0.1, (2, 0): 0.3j,
+                          (0, 1): 0.6, (1, 0): -0.4})
+    assert_sorted(state)
+    joint = tensor(state, PureState(2, {(1, 0): 0.8, (0, 0): 0.6}))
+    assert_sorted(joint)
+    assert_sorted(two_mode_unitary(joint, 3, 0, HADAMARD))
+    assert_sorted(project_mode(joint, 0, [0.5, 1.0, -0.3j])[1])
 
 
 def test_occupation_cap_rejected():

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from railsim.fock import PureState, TruncationError, fidelity, fock_state
+from railsim.fock import (PureState, TruncationError, apply_phase, fidelity,
+                          fock_state)
 from railsim.optics import (BeamsplitterSpec, DualRailQubit, HADAMARD,
                             PAULI_X, PAULI_Z, SingleRailQubit, beamsplitter,
-                            decompose_pair_unitary, dual_rail_bell,
-                            dual_rail_unitary, single_rail_bell,
-                            two_mode_unitary)
+                            dual_rail_bell, dual_rail_unitary,
+                            single_rail_bell, two_mode_unitary)
 
 from logical_state import logical_state
+from paper_checks import decompose_pair_unitary
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -169,6 +170,33 @@ def test_dual_rail_unitary_acts_as_logical_matrix():
         out = dual_rail_unitary(state, q, v)
         got = logical_state(out, q)
         assert np.allclose(got, v @ c, atol=1e-10)
+
+
+def test_dual_rail_unitary_equals_phase_beamsplitter_phase_chain():
+    # The hardware realization: phase shifters around one beamsplitter,
+    # with the logical matrix conjugated by the rail swap.  Rails hold
+    # 0, 1 and 2 photons next to an occupied spectator mode.
+    rng = np.random.default_rng(2024)
+    q = DualRailQubit(2, 0)
+    swap = np.array([[0, 1], [1, 0]])
+    rails = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
+    for _ in range(20):
+        u = random_unitary(rng)
+        c = rng.normal(size=2 * len(rails)) + 1j * rng.normal(size=2 * len(rails))
+        amps = {}
+        for k, (n0, n1) in enumerate(rails):
+            for spectator in (0, 1):
+                amps[(n1, spectator, n0)] = c[2 * k + spectator]
+        state = PureState(3, amps).normalized()
+        g0, g1, eta, b0, b1 = decompose_pair_unitary(swap @ u @ swap)
+        want = apply_phase(state, q.rail0, g0)
+        want = apply_phase(want, q.rail1, g1)
+        want = beamsplitter(want, BeamsplitterSpec(q.rail0, q.rail1, eta))
+        want = apply_phase(want, q.rail0, b0)
+        want = apply_phase(want, q.rail1, b1)
+        got = dual_rail_unitary(state, q, u)
+        for occ in set(got.amplitudes) | set(want.amplitudes):
+            assert abs(got.amp(occ) - want.amp(occ)) <= 1e-12, occ
 
 
 def test_dual_rail_hadamard_on_logical_zero():

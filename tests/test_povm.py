@@ -1,13 +1,16 @@
 """Analytic measurement distributions, sampling, and posteriors."""
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsim.fock import PureState, fidelity, fock_state, single_photon, vacuum
+from railsim.fock import (PureState, fidelity, fock_state, project_mode,
+                         single_photon, vacuum)
 from railsim.optics import BeamsplitterSpec, beamsplitter
 from railsim.povm import (ApmDensity, OverOccupiedError, _apm_pdf, apm_density,
                           apm_sample, homodyne_cdf, homodyne_density,
@@ -229,3 +232,30 @@ def test_count_probabilities_reproduce_born_rule():
     ones = sum(photon_count(state, (0, 1), rng).value[0] for _ in range(n))
     # mode 0 keeps the photon with probability eta
     assert abs(ones / n - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / n)
+
+
+def test_count_posterior_equals_chained_one_hot_projections():
+    # every outcome, chosen by a fixed uniform at the middle of its slice
+    # of the cumulative distribution
+    rng = np.random.default_rng(12)
+    amps = {occ: complex(*rng.normal(size=2))
+            for occ in itertools.product(range(3), repeat=3) if sum(occ) <= 4}
+    state = PureState(3, amps)  # unnormalized on purpose
+    total = state.norm_sq()
+    for modes in ((0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)):
+        probs = {}
+        for occ, amp in state.items():
+            key = tuple(occ[m] for m in modes)
+            probs[key] = probs.get(key, 0.0) + abs(amp) ** 2 / total
+        acc = 0.0
+        for counts, p in sorted(probs.items()):
+            u = acc + p / 2
+            acc += p
+            out = photon_count(state, modes, SimpleNamespace(random=lambda: u))
+            assert out.value == counts
+            want = state
+            for m, c in sorted(zip(modes, counts), reverse=True):
+                _, want = project_mode(want, m, [float(n == c) for n in range(3)])
+            assert out.posterior.n_modes == want.n_modes == 3 - len(modes)
+            for occ in set(out.posterior.amplitudes) | set(want.amplitudes):
+                assert abs(out.posterior.amp(occ) - want.amp(occ)) <= 1e-12

@@ -125,6 +125,20 @@ def test_dual_to_single_rejects_over_occupied_rails():
         dual_to_single(state, DualRailQubit(0, 1), apm_sample, rng)
 
 
+def test_both_phase_measurements_share_the_occupation_tolerance():
+    # relative weight 1.25e-13 on n = 2 is within the tolerance; about
+    # 1e-10 is not, and both routes refuse it
+    pulse = make_pulse("flat", dt=1e-3)
+    near = PureState(1, {(0,): 1, (1,): 1, (2,): 5e-7}).normalized()
+    far = PureState(1, {(0,): 1, (1,): 1, (2,): math.sqrt(2e-10)}).normalized()
+    for apm in (apm_sample, partial(trajectory_apm, pulse=pulse)):
+        out = apm(near, 0, np.random.default_rng(3))
+        assert 0.0 <= out.value < 2 * math.pi
+        assert out.posterior.n_modes == 0
+        with pytest.raises(OverOccupiedError):
+            apm(far, 0, np.random.default_rng(3))
+
+
 def test_hybrid_bell_state_and_handles():
     rng = np.random.default_rng(7)
     state, sq, dq = hybrid_bell(apm_sample, rng)

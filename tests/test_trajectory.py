@@ -72,6 +72,9 @@ def test_unknown_pulse_shape_rejected():
         make_pulse("sawtooth", dt=1e-3)
     with pytest.raises(ValueError):
         make_pulse("flat", dt=0.0)
+    for rate in ("inf", "nan", "-inf", "0"):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_pulse(f"expdecay:{rate}", dt=1e-3)
 
 
 # ---- single trajectories ----
