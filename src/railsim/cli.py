@@ -33,7 +33,8 @@ from .optics import (BeamsplitterSpec, HADAMARD, IDENTITY, PAULI_X, PAULI_Z,
 from .povm import (apm_density, apm_sample, homodyne_cdf, homodyne_invert,
                    photon_count)
 from .protocols import PrepSpec, run_protocol_trial, trajectory_apm
-from .runner import chunk_ranges, map_chunks, trial_rng, worker_count
+from .runner import (chunk_ranges, map_chunks, trial_rng, trial_rngs,
+                     worker_count)
 from .stats import chi2_gof_pvalue, ks_statistic
 from .trajectory import (FeedbackPolicy, TrajectoryDivergedError, make_pulse,
                          run_dyne_ensemble, simulate_dyne)
@@ -152,8 +153,8 @@ def _load_schema() -> dict:
 def _emit(command: str, config: dict, results: dict, args) -> int:
     summary = {"schema_version": SCHEMA_VERSION, "command": command,
                "config": config, "results": results}
-    jsonschema.validate(summary, _load_schema(),
-                        cls=jsonschema.Draft202012Validator)
+    # The packaged schema is checked by the tests, not on every run.
+    jsonschema.Draft202012Validator(_load_schema()).validate(summary)
     text = json.dumps(summary, sort_keys=True, indent=2)
     if args.summary:
         with open(args.summary, "w") as fh:
@@ -165,9 +166,10 @@ def _emit(command: str, config: dict, results: dict, args) -> int:
 def _write_jsonl(path: str | None, records) -> None:
     if path is None:
         return
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(encode(rec) + "\n")
 
 
 def _histogram(values, edges) -> dict:
@@ -185,25 +187,22 @@ def _moments(values) -> dict:
 # chunk workers; module level so the fork pool can pickle them
 
 def _apm_chunk(bounds, state, mode, seed):
-    start, stop = bounds
     out = []
-    for i in range(start, stop):
-        o = apm_sample(state, mode, trial_rng(seed, i))
+    for rng in trial_rngs(seed, *bounds):
+        o = apm_sample(state, mode, rng)
         out.append((float(o.value), float(o.density)))
     return out
 
 
 def _homodyne_chunk(bounds, xs, pdf, cdf, seed):
-    start, stop = bounds
-    return [homodyne_invert(xs, pdf, cdf, trial_rng(seed, i).random())
-            for i in range(start, stop)]
+    return [homodyne_invert(xs, pdf, cdf, rng.random())
+            for rng in trial_rngs(seed, *bounds)]
 
 
 def _count_chunk(bounds, state, modes, seed):
-    start, stop = bounds
     out = []
-    for i in range(start, stop):
-        o = photon_count(state, modes, trial_rng(seed, i))
+    for rng in trial_rngs(seed, *bounds):
+        o = photon_count(state, modes, rng)
         out.append(([int(c) for c in o.value], float(o.density)))
     return out
 
@@ -411,10 +410,10 @@ def cmd_trajectory(args):
     def run():
         res = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
                                 want_fidelity=adaptive, threads=threads)
-        records = [{"trial": i, "theta": float(th), "x": float(x),
+        records = ({"trial": i, "theta": float(th), "x": float(x),
                     "residual_weight": float(w)}
                    for i, (th, x, w) in enumerate(
-                       zip(res.theta, res.x, res.residual_weight))]
+                       zip(res.theta, res.x, res.residual_weight)))
         _write_jsonl(args.jsonl, records)
         results = {"n_trials": n,
                    "mean_residual_weight": float(res.residual_weight.mean())}

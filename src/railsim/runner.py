@@ -39,6 +39,57 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial_index]))
 
 
+def trial_rngs(master_seed: int, start: int, stop: int):
+    """Yield a generator in the state of ``trial_rng(master_seed, i)`` for
+    each i in range(start, stop); it is one generator, reused, so each is
+    valid only until the next is yielded.
+
+    Below 2**32, seed and index are one entropy word each: SeedSequence's
+    hash of [master_seed, i] (NumPy NEP 19) runs on uint32 arrays for the
+    whole range, then PCG64's seeding (O'Neill 2014) on Python ints.
+    Larger values fall back to ``trial_rng`` per trial.
+    """
+    if stop <= start:
+        return
+    rng = trial_rng(master_seed, start)
+    yield rng
+    if master_seed >= 2**32 or stop > 2**32:
+        yield from (trial_rng(master_seed, i) for i in range(start + 1, stop))
+        return
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value, mult):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & 0xFFFFFFFF
+        value *= hash_const
+        return value ^ value >> 16
+
+    n = stop - start - 1
+    zero = np.zeros(n, np.uint32)
+    pool = [hashmix(word, 0x931E8875) for word in (
+        np.full(n, master_seed, np.uint32),
+        np.arange(start + 1, stop, dtype=np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (pool[dst] * 0xCA01F9DD
+                         - hashmix(pool[src], 0x931E8875) * 0x4973F715)
+                pool[dst] = mixed ^ mixed >> 16
+    hash_const = 0x8B51F9DD
+    words = np.stack([hashmix(pool[k % 4], 0x58F38DED) for k in range(8)], axis=1)
+    mask = (1 << 128) - 1
+    bit_generator = rng.bit_generator
+    for row in words.astype("<u4", copy=False).view("<u8"):
+        s_hi, s_lo, i_hi, i_lo = row.tolist()
+        inc = (i_hi << 65 | i_lo << 1 | 1) & mask
+        state = ((s_hi << 64 | s_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645
+        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                               "uinteger": 0,
+                               "state": {"state": state + inc & mask, "inc": inc}}
+        yield rng
+
+
 def chunk_ranges(n: int, chunk_size: int = DEFAULT_CHUNK) -> list:
     """Split range(n) into fixed [start, stop) chunks.
 

@@ -43,12 +43,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .fock import APM_OCCUPATION_TOL, OverOccupiedError, PureState
-from .runner import DEFAULT_CHUNK, chunk_ranges, map_chunks, trial_rng
+from .runner import DEFAULT_CHUNK, chunk_ranges, map_chunks, trial_rngs
 
 EPS_END = 1e-6
 
@@ -86,6 +86,22 @@ class PulseShape:
     @property
     def n_steps(self) -> int:
         return len(self.t)
+
+    @cached_property
+    def kernel_tables(self) -> tuple:
+        """Per-step lists the dyne kernel reads, built once per pulse:
+        (drive 2 sqrt(gamma_k) dt, sqrt(u_k), 1/sqrt(U'_k) or 0 where
+        U'_k = 0, and the Kraus form's d_k, d_k^2 and sqrt(gamma_k) d_k);
+        d and d^2 run to k = n_steps."""
+        sqrt_gamma = np.sqrt(self.decay)
+        d = np.concatenate(([1.0], np.cumprod(1.0 - 0.5 * self.decay * self.dt)))
+        with np.errstate(divide="ignore"):
+            inv_sqrt_cum = np.where(self.cum_end > 0.0,
+                                    1.0 / np.sqrt(np.maximum(self.cum_end, 1e-300)),
+                                    0.0)
+        return ((2.0 * sqrt_gamma * self.dt).tolist(),
+                np.sqrt(self.envelope).tolist(), inv_sqrt_cum.tolist(),
+                d.tolist(), (d * d).tolist(), (sqrt_gamma * d[:-1]).tolist())
 
 
 def make_pulse(shape: str, dt: float = 1e-4) -> PulseShape:
@@ -249,13 +265,15 @@ class _KrausLanes:
     """Lanes whose measured mode holds at most one photon, in Kraus form.
 
     Each lane carries p = conj(q_k) as (real, imaginary) on a leading
-    axis of two, and the Gram matrix of its own a0 (g00, g11 and
-    g01 = sum conj(a0[0]) a0[1]); d_k is shared.  A vacuum-only mode is
-    the case g01 = g11 = 0.  More than two levels raise
-    ``OverOccupiedError``.
+    axis of two.  The Gram matrix of a0 (g00, g11 and g01 = sum conj(a0[0])
+    a0[1]) has one entry per row of ``a0``, which holds either one row
+    per lane or one row that all ``lanes`` share; d_k is shared.  A
+    vacuum-only mode is the case g01 = g11 = 0.  More than two levels
+    raise ``OverOccupiedError``.  The step works in buffers allocated
+    here; ``project`` returns two of them, valid until its next call.
     """
 
-    def __init__(self, a0, sqrt_gamma, half_gamma_dt):
+    def __init__(self, a0, pulse, lanes):
         self.levels = a0.shape[1]
         if self.levels > 2:
             raise OverOccupiedError(f"measured mode holds {self.levels - 1} "
@@ -265,33 +283,34 @@ class _KrausLanes:
         self.g00 = (row0.real ** 2 + row0.imag ** 2).sum(axis=1)
         self.g11 = (row1.real ** 2 + row1.imag ** 2).sum(axis=1)
         g01 = (row0.conj() * row1).sum(axis=1)
-        self.g01 = np.stack([g01.real, g01.imag])
-        self.p = np.zeros_like(self.g01)
-        d = np.concatenate(([1.0], np.cumprod(1.0 - half_gamma_dt)))
-        self.d = d.tolist()
-        self.d2 = (d * d).tolist()
-        self.kick = (sqrt_gamma * d[:-1]).tolist()
+        self.g01 = np.empty((2, lanes))  # full width: adding a (2, 1) is slower
+        self.g01[0], self.g01[1] = g01.real, g01.imag
+        self.p = np.zeros((2, lanes))
+        self.m, self.t = np.empty((2, lanes)), np.empty((2, lanes))
+        self.proj, self.norm2, self.w = (np.empty(lanes) for _ in range(3))
+        *_, self.d, self.d2, self.kick = pulse.kernel_tables
 
     def project(self, k, cs):
-        m = self.p * self.g11
+        m, t, proj, norm2 = self.m, self.t, self.proj, self.norm2
+        np.multiply(self.p, self.g11, out=m)
         m += self.g01                 # g01 + conj(q) g11
-        t = m * cs
-        proj = t[0] + t[1]
+        np.multiply(m, cs, out=t)
+        np.add(t[0], t[1], out=proj)
         proj *= self.d[k]
         m += self.g01
         m *= self.p                   # rows sum to 2 Re(q g01) + |q|^2 g11
-        norm2 = m[0] + m[1]
+        np.add(m[0], m[1], out=norm2)
         norm2 += self.g00 + self.d2[k] * self.g11
         return norm2, proj
 
     def step(self, k, cs, jdt):
-        w = jdt * self.kick[k]
-        self.p += w * cs
+        np.multiply(jdt, self.kick[k], out=self.w)
+        self.p += np.multiply(self.w, cs, out=self.t)
 
     def rows(self):
         q = self.p[0] - 1j * self.p[1]
-        rows = np.stack([self.row0 + q[:, None] * self.row1,
-                         self.d[-1] * self.row1], axis=1)
+        rows = np.stack(np.broadcast_arrays(self.row0 + q[:, None] * self.row1,
+                                            self.d[-1] * self.row1), axis=1)
         return rows[:, :self.levels]
 
 
@@ -299,8 +318,10 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
             policy: FeedbackPolicy, keep_series: bool = False) -> _KernelResult:
     """Run the per-step update for a batch of trajectories.
 
-    ``a0`` has shape (batch, levels, n_rest) and may differ per lane;
-    ``noise`` holds the Wiener increments, shape (batch, n_steps).  Every
+    ``noise`` holds the Wiener increments, shape (batch, n_steps), and
+    sets the lane count.  ``a0`` has shape (batch, levels, n_rest) and
+    may differ per lane, or shape (1, levels, n_rest) when all lanes
+    share it, which gives the same bits without the per-lane copy.  Every
     lane runs in Kraus form (:class:`_KrausLanes`), a few scalars per
     lane and step; a measured mode with two or more photons (levels > 2)
     raises ``OverOccupiedError``.  All per-step operations are
@@ -310,7 +331,7 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
     runs the same operations on Python floats (:func:`_one_kraus_lane`).
     ``a_final`` holds the normalized final rows.
     """
-    batch = len(a0)
+    batch = len(noise)
     n_steps = pulse.n_steps
     dt = pulse.dt
     adaptive = policy.kind == "adaptive"
@@ -320,15 +341,9 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
             "adaptive loop delay is not small compared to the pulse; "
             "the phase estimate will degrade", stacklevel=2)
 
-    sqrt_gamma = np.sqrt(pulse.decay)
-    half_gamma_dt = 0.5 * pulse.decay * dt
-    drive = (2.0 * sqrt_gamma * dt).tolist()  # J dt = drive * proj / norm2 + dW
-    sqrt_u = np.sqrt(pulse.envelope).tolist()
-    with np.errstate(divide="ignore"):
-        inv_sqrt_cum = np.where(pulse.cum_end > 0.0,
-                                1.0 / np.sqrt(np.maximum(pulse.cum_end, 1e-300)),
-                                0.0).tolist()
-    lanes = _KrausLanes(a0, sqrt_gamma, half_gamma_dt)
+    # J dt = drive * proj / norm2 + dW
+    drive, sqrt_u, inv_sqrt_cum = pulse.kernel_tables[:3]
+    lanes = _KrausLanes(a0, pulse, batch)
 
     if batch == 1 and adaptive and lag == 0 and not keep_series:
         lane = _one_kraus_lane(lanes, noise[0], drive, sqrt_u, inv_sqrt_cum)
@@ -339,6 +354,7 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
 
     s_sum = np.zeros(batch)
     x_sum = np.zeros(batch)
+    jdt, idt = np.empty(batch), np.empty(batch)
     if adaptive:
         cs = np.empty((2, batch))
         # With no delay the phase is the running sum itself; it is read
@@ -364,17 +380,18 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
         norm2, proj = lanes.project(k, cs)
         if k % 512 == 0 and not np.all(np.isfinite(norm2)):
             raise TrajectoryDivergedError(k)
-        jdt = proj * drive[k]
+        np.multiply(proj, drive[k], out=jdt)
         jdt /= norm2
         jdt += noise[:, k]
         lanes.step(k, cs, jdt)
-        idt = jdt * sqrt_u[k]
+        np.multiply(jdt, sqrt_u[k], out=idt)
         if keep_series:
             ser_phi[:, k] = phi
             ser_idt[:, k] = idt
             ser_jdt[:, k] = jdt
         x_sum += idt
-        s_sum += idt * inv_sqrt_cum[k]
+        idt *= inv_sqrt_cum[k]
+        s_sum += idt
         if adaptive and lag > 0:
             ring[k % (lag + 1)] = s_sum
             phi = ring[(k + 1) % (lag + 1)]  # the sum from step k - lag, or 0
@@ -507,11 +524,9 @@ def _posterior_fidelity(a0: np.ndarray, a_final: np.ndarray,
 
 def _ensemble_chunk(rng_range, a0, pulse, policy, master_seed, want_fidelity):
     start, stop = rng_range
-    batch = stop - start
-    noise = _wiener_increments(
-        batch, (trial_rng(master_seed, i) for i in range(start, stop)), pulse)
-    tiled = np.broadcast_to(a0, (batch,) + a0.shape)
-    res = _evolve(tiled, noise, pulse, policy)
+    noise = _wiener_increments(stop - start, trial_rngs(master_seed, start, stop),
+                               pulse)
+    res = _evolve(a0[None], noise, pulse, policy)
     fid = None
     if want_fidelity and a0.shape[0] >= 2:
         fid = _posterior_fidelity(a0, res.a_final, res.theta)

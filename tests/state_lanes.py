@@ -19,12 +19,13 @@ class StateLanes:
     norm and phase factor that the following ``step`` reuses.
     """
 
-    def __init__(self, a0, sqrt_gamma, half_gamma_dt):
-        self.a = np.array(a0, dtype=complex)
+    def __init__(self, a0, pulse, lanes):
+        self.a = np.array(np.broadcast_to(a0, (lanes,) + a0.shape[1:]),
+                          dtype=complex)
         self.n_arr = np.arange(a0.shape[1], dtype=float)
         self.raise_w = np.sqrt(self.n_arr[1:])  # sqrt(n+1) couples |n+1> -> |n>
-        self.sqrt_gamma = sqrt_gamma
-        self.half_gamma_dt = half_gamma_dt
+        self.sqrt_gamma = np.sqrt(pulse.decay)
+        self.half_gamma_dt = 0.5 * pulse.decay * pulse.dt
 
     def project(self, k, cs):
         a = self.a

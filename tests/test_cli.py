@@ -36,6 +36,11 @@ def validate(summary):
                         cls=jsonschema.Draft202012Validator)
 
 
+def test_packaged_summary_schema_is_valid():
+    # the CLI validates summaries against it without checking it first
+    jsonschema.Draft202012Validator.check_schema(cli._load_schema())
+
+
 # ---- parsing helpers ----
 
 def test_named_states():

@@ -12,6 +12,7 @@ from railsim.fock import (OverOccupiedError, PureState, fidelity, fock_state,
                          single_photon, vacuum)
 from railsim.optics import BeamsplitterSpec, beamsplitter
 from railsim.povm import apm_density
+from railsim.runner import trial_rng
 from railsim.stats import ks_statistic
 from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
                                 simulate_dyne)
@@ -186,7 +187,6 @@ def test_single_trajectory_equals_ensemble_lane():
     p = make_pulse("flat", dt=1e-3)
     ens = run_dyne_ensemble(split_photon(), 0, p, FeedbackPolicy.adaptive(),
                             master_seed=3, n_trials=5)
-    from railsim.runner import trial_rng
     rec, _ = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
                            trial_rng(3, 2), keep_series=False)
     assert rec.theta == ens.theta[2]
@@ -352,6 +352,37 @@ def test_kraus_form_matches_state_form(monkeypatch, policy, rest_modes):
             assert np.max(np.abs(got - want)) < 1e-12, field
         for field in ("theta", "x", "residual", "a_final"):
             assert np.array_equal(getattr(bare, field), getattr(kraus, field))
+
+
+@pytest.mark.parametrize("keep_series", [False, True])
+@pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES.keys())
+def test_shared_a0_equals_broadcast_a0(policy, keep_series):
+    rng = np.random.default_rng(23)
+    p = make_pulse("raised-cosine", dt=1e-3)
+    a0 = _random_rows(rng, 2, 2, 4)[1:]
+    noise = rng.standard_normal((6, p.n_steps)) * math.sqrt(p.dt)
+    shared = trajectory._evolve(a0, noise, p, policy, keep_series=keep_series)
+    tiled = trajectory._evolve(np.broadcast_to(a0, (6,) + a0.shape[1:]), noise,
+                               p, policy, keep_series=keep_series)
+    fields = ["theta", "x", "residual", "a_final"]
+    fields += ["phases", "i_dt", "j_dt"] if keep_series else []
+    for field in fields:
+        assert np.array_equal(getattr(shared, field), getattr(tiled, field))
+
+
+def test_ensemble_chunk_noise_is_each_trials_stream(monkeypatch):
+    p = make_pulse("flat", dt=1e-2)
+    seen = []
+    evolve = trajectory._evolve
+    monkeypatch.setattr(trajectory, "_evolve",
+                        lambda a0, noise, *a: seen.append(noise) or
+                        evolve(a0, noise, *a))
+    a0, _ = trajectory._reduce_measured_mode(split_photon(), 0)
+    trajectory._ensemble_chunk((5, 12), a0, p, FeedbackPolicy.adaptive(), 9,
+                               False)
+    want = np.stack([trial_rng(9, i).standard_normal(p.n_steps)
+                     for i in range(5, 12)]) * math.sqrt(p.dt)
+    assert np.array_equal(seen[0], want)
 
 
 def test_mean_current_profile_of_vacuum_is_flat_zero():
