@@ -21,6 +21,7 @@ import math
 import sys
 from collections import Counter
 from functools import partial
+from itertools import chain
 
 import jsonschema
 import numpy as np
@@ -163,13 +164,15 @@ def _emit(command: str, config: dict, results: dict, args) -> int:
     return 0
 
 
-def _write_jsonl(path: str | None, records) -> None:
+def _write_jsonl(path: str | None, columns: dict) -> None:
+    """Write one sorted-key JSON line per trial from equal-length columns."""
     if path is None:
         return
     encode = json.JSONEncoder(sort_keys=True).encode
+    keys = tuple(columns)
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(encode(rec) + "\n")
+        for row in zip(*columns.values(), strict=True):
+            fh.write(encode(dict(zip(keys, row))) + "\n")
 
 
 def _histogram(values, edges) -> dict:
@@ -184,40 +187,46 @@ def _moments(values) -> dict:
             "mean_sq": float(np.mean(v * v))}
 
 
-# chunk workers; module level so the fork pool can pickle them
+# Chunk workers return columns: a dict from JSONL key to one value per
+# trial, as a float array or a list of Python values (numpy ints and
+# bools do not encode as JSON).  Module level so the fork pool can
+# pickle them.
 
 def _apm_chunk(bounds, state, mode, seed):
-    out = []
-    for rng in trial_rngs(seed, *bounds):
-        o = apm_sample(state, mode, rng)
-        out.append((float(o.value), float(o.density)))
-    return out
+    outs = (apm_sample(state, mode, rng) for rng in trial_rngs(seed, *bounds))
+    theta, density = np.array([(o.value, o.density) for o in outs]).T
+    return {"theta": theta, "density": density}
 
 
 def _homodyne_chunk(bounds, xs, pdf, cdf, seed):
-    return [homodyne_invert(xs, pdf, cdf, rng.random())
-            for rng in trial_rngs(seed, *bounds)]
+    x, density = np.array([homodyne_invert(xs, pdf, cdf, rng.random())
+                           for rng in trial_rngs(seed, *bounds)]).T
+    return {"x": x, "density": density}
 
 
 def _count_chunk(bounds, state, modes, seed):
-    out = []
-    for rng in trial_rngs(seed, *bounds):
-        o = photon_count(state, modes, rng)
-        out.append(([int(c) for c in o.value], float(o.density)))
-    return out
+    outs = (photon_count(state, modes, rng) for rng in trial_rngs(seed, *bounds))
+    counts, probability = zip(*(([int(c) for c in o.value], o.density)
+                                for o in outs))
+    return {"counts": list(counts), "probability": np.array(probability)}
 
 
 def _protocol_chunk(bounds, protocol, apm, seed, **target):
-    start, stop = bounds
-    return [run_protocol_trial(protocol, apm, seed, i, **target)
-            for i in range(start, stop)]
+    records = [run_protocol_trial(protocol, apm, seed, i, rng, **target)
+               for i, rng in zip(range(*bounds), trial_rngs(seed, *bounds))]
+    return {key: [r[key] for r in records] for key in records[0]}
 
 
 def _run_chunked(fn, n, threads, chunk):
-    rows = []
-    for part in map_chunks(fn, chunk_ranges(n, chunk), threads):
-        rows.extend(part)
-    return rows
+    """The columns of ``fn`` over the chunks of range(n), in trial order."""
+    parts = map_chunks(fn, chunk_ranges(n, chunk), threads)
+    columns = {}
+    for key in parts[0]:
+        pieces = [p[key] for p in parts]
+        columns[key] = (np.concatenate(pieces)
+                        if isinstance(pieces[0], np.ndarray)
+                        else list(chain.from_iterable(pieces)))
+    return columns
 
 
 def _common_ints(args):
@@ -247,12 +256,10 @@ def cmd_sample(args):
         modes = tuple(range(state.n_modes))
 
         def run_count():
-            rows = _run_chunked(partial(_count_chunk, state=state, modes=modes,
+            cols = _run_chunked(partial(_count_chunk, state=state, modes=modes,
                                         seed=seed), n, threads, SAMPLE_CHUNK)
-            records = [{"trial": i, "counts": c, "probability": p}
-                       for i, (c, p) in enumerate(rows)]
-            _write_jsonl(args.jsonl, records)
-            by_outcome = Counter(",".join(map(str, c)) for c, _ in rows)
+            _write_jsonl(args.jsonl, {"trial": range(n), **cols})
+            by_outcome = Counter(",".join(map(str, c)) for c in cols["counts"])
             results = {"n_trials": n,
                        "counts_by_outcome": dict(sorted(by_outcome.items()))}
             return _emit("sample-count", config, results, args)
@@ -273,18 +280,14 @@ def cmd_sample(args):
 
         def run_apm():
             if backend == "analytic":
-                rows = _run_chunked(partial(_apm_chunk, state=state, mode=mode,
+                cols = _run_chunked(partial(_apm_chunk, state=state, mode=mode,
                                             seed=seed), n, threads, SAMPLE_CHUNK)
-                thetas = np.array([t for t, _ in rows])
-                densities = [d for _, d in rows]
             else:
-                res = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
-                                        threads=threads)
-                thetas = res.theta
-                densities = [float(d) for d in dens(thetas)]
-            records = [{"trial": i, "theta": float(t), "density": d}
-                       for i, (t, d) in enumerate(zip(thetas, densities))]
-            _write_jsonl(args.jsonl, records)
+                theta = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
+                                          threads=threads).theta
+                cols = {"theta": theta, "density": dens(theta)}
+            _write_jsonl(args.jsonl, {"trial": range(n), **cols})
+            thetas = cols["theta"]
             results = {"n_trials": n,
                        "ks_theta": float(ks_statistic(thetas, dens.cdf)),
                        "histogram": _histogram(thetas, THETA_EDGES)}
@@ -304,19 +307,15 @@ def cmd_sample(args):
 
     def run_homodyne():
         if backend == "analytic":
-            rows = _run_chunked(partial(_homodyne_chunk, xs=xs, pdf=pdf,
+            cols = _run_chunked(partial(_homodyne_chunk, xs=xs, pdf=pdf,
                                         cdf=cdf, seed=seed),
                                 n, threads, SAMPLE_CHUNK)
-            values = np.array([x for x, _ in rows])
-            densities = [d for _, d in rows]
         else:
-            res = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
-                                    threads=threads)
-            values = res.x
-            densities = [float(d) for d in np.interp(values, xs, pdf)]
-        records = [{"trial": i, "x": float(x), "density": d}
-                   for i, (x, d) in enumerate(zip(values, densities))]
-        _write_jsonl(args.jsonl, records)
+            x = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
+                                  threads=threads).x
+            cols = {"x": x, "density": np.interp(x, xs, pdf)}
+        _write_jsonl(args.jsonl, {"trial": range(n), **cols})
+        values = cols["x"]
         results = {"n_trials": n,
                    "ks_x": float(ks_statistic(
                        values, lambda v: np.interp(v, xs, cdf) / cdf[-1])),
@@ -348,13 +347,13 @@ def cmd_prep(args):
     apm = _protocol_apm(args, config)
 
     def run():
-        records = _run_chunked(partial(_protocol_chunk, protocol="prepare",
-                                       apm=apm, seed=seed, spec=spec),
-                               n, threads, PROTOCOL_CHUNK)
-        _write_jsonl(args.jsonl, records)
-        fids = [r["fidelity"] for r in records]
+        cols = _run_chunked(partial(_protocol_chunk, protocol="prepare",
+                                    apm=apm, seed=seed, spec=spec),
+                            n, threads, PROTOCOL_CHUNK)
+        _write_jsonl(args.jsonl, cols)
+        fids = cols["fidelity"]
         results = {"n_trials": n,
-                   "success_rate": sum(r["success"] for r in records) / n,
+                   "success_rate": sum(cols["success"]) / n,
                    "fidelity_min": float(min(fids)),
                    "fidelity_mean": float(np.mean(fids))}
         return _emit("prep", config, results, args)
@@ -371,21 +370,18 @@ def cmd_gate(args):
     apm = _protocol_apm(args, config)
 
     def run():
-        records = _run_chunked(partial(_protocol_chunk, protocol="gate",
-                                       apm=apm, seed=seed,
-                                       qubit=(c0, c1), u=u),
-                               n, threads, PROTOCOL_CHUNK)
-        _write_jsonl(args.jsonl, records)
-        succ = [r for r in records if r["success"]]
-        by_counts = Counter(",".join(map(str, r["counts"])) for r in records)
-        results = {"n_trials": n, "success_rate": len(succ) / n,
-                   "collapsed_zero_rate":
-                       sum(r["collapsed"] == 0 for r in records) / n,
-                   "collapsed_one_rate":
-                       sum(r["collapsed"] == 1 for r in records) / n,
+        cols = _run_chunked(partial(_protocol_chunk, protocol="gate",
+                                    apm=apm, seed=seed, qubit=(c0, c1), u=u),
+                            n, threads, PROTOCOL_CHUNK)
+        _write_jsonl(args.jsonl, cols)
+        by_counts = Counter(",".join(map(str, c)) for c in cols["counts"])
+        # collapsed holds None, 0 or 1, never a bool
+        results = {"n_trials": n, "success_rate": sum(cols["success"]) / n,
+                   "collapsed_zero_rate": cols["collapsed"].count(0) / n,
+                   "collapsed_one_rate": cols["collapsed"].count(1) / n,
                    "counts_by_outcome": dict(sorted(by_counts.items()))}
-        if succ:
-            fids = [r["fidelity"] for r in succ]
+        fids = [f for f in cols["fidelity"] if f is not None]
+        if fids:
             results["fidelity_min"] = float(min(fids))
             results["fidelity_mean"] = float(np.mean(fids))
         return _emit("gate", config, results, args)
@@ -410,11 +406,9 @@ def cmd_trajectory(args):
     def run():
         res = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
                                 want_fidelity=adaptive, threads=threads)
-        records = ({"trial": i, "theta": float(th), "x": float(x),
-                    "residual_weight": float(w)}
-                   for i, (th, x, w) in enumerate(
-                       zip(res.theta, res.x, res.residual_weight)))
-        _write_jsonl(args.jsonl, records)
+        _write_jsonl(args.jsonl, {"trial": range(n), "theta": res.theta,
+                                  "x": res.x,
+                                  "residual_weight": res.residual_weight})
         results = {"n_trials": n,
                    "mean_residual_weight": float(res.residual_weight.mean())}
         results.update(_moments(res.x))

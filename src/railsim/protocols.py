@@ -29,7 +29,6 @@ from .fock import (APM_OCCUPATION_TOL, OverOccupiedError, PureState,
 from .optics import (BeamsplitterSpec, DualRailQubit, SingleRailQubit,
                      beamsplitter, dual_rail_bell, dual_rail_unitary)
 from .povm import MeasurementOutcome, apm_density, apm_sample, photon_count
-from .runner import trial_rng
 from .trajectory import FeedbackPolicy, PulseShape, simulate_dyne
 
 # apm_sample is re-exported: it and trajectory_apm are the two APM
@@ -242,17 +241,18 @@ def logical_target_fidelity(state: PureState, qubit, c0: complex, c1: complex) -
 
 
 def run_protocol_trial(protocol: str, apm, master_seed: int,
-                       trial_index: int, spec: PrepSpec | None = None,
+                       trial_index: int, rng: np.random.Generator,
+                       spec: PrepSpec | None = None,
                        qubit: tuple | None = None,
                        u: np.ndarray | None = None) -> dict:
-    """Run one protocol trial and return a JSON-serializable record.
+    """Run one protocol trial on ``rng``, the generator of (master_seed,
+    trial_index), and return a JSON-serializable record.
 
     ``prepare`` takes the target ``spec``; ``teleport`` takes the input
     amplitudes ``qubit = (c0, c1)``; ``gate`` takes ``qubit`` and the
     2x2 unitary ``u``.  The record keeps the phase outcomes of ``apm``
     in call order.
     """
-    rng = trial_rng(master_seed, trial_index)
     theta_values = []
 
     def recorded_apm(state, mode, rng):

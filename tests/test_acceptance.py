@@ -23,6 +23,7 @@ from railsim.protocols import (PrepSpec,
                                apply_single_rail_unitary,
                                logical_target_fidelity, qubit_state,
                                run_protocol_trial, teleport_single_to_dual)
+from railsim.runner import trial_rng
 from railsim.stats import chi2_gof_pvalue, ks_statistic
 from railsim.trajectory import FeedbackPolicy, make_pulse, run_dyne_ensemble
 
@@ -85,7 +86,8 @@ def test_04_preparation_succeeds_deterministically():
     for i in range(n):
         spec = PrepSpec(alpha=float(rng.random()),
                         phi=float(rng.random() * 2.0 * math.pi))
-        rec = run_protocol_trial("prepare", apm_sample, 43, i, spec=spec)
+        rec = run_protocol_trial("prepare", apm_sample, 43, i,
+                                 trial_rng(43, i), spec=spec)
         successes += rec["success"]
         fids.append(rec["fidelity"])
     ok = successes == n and min(fids) >= 1.0 - 1e-10

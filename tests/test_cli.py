@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import importlib.resources
@@ -19,6 +21,10 @@ from railsim import cli
 from railsim.cli import (ConfigError, main, named_state, parse_input_qubit,
                          parse_policy, parse_unitary)
 from railsim.optics import HADAMARD
+from railsim.povm import apm_sample
+from railsim.protocols import PrepSpec, run_protocol_trial, trajectory_apm
+from railsim.runner import trial_rng
+from railsim.trajectory import make_pulse
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -339,6 +345,67 @@ def test_trajectory_heterodyne_policy(capsys):
     assert summary["config"]["policy"] == "heterodyne:40"
 
 
+# ---- JSONL records ----
+
+_JSONL_ARGV = {
+    "sample apm": ["sample", "apm"],
+    "sample homodyne": ["sample", "homodyne"],
+    "sample count": ["sample", "count"],
+    "prep": ["prep", "--alpha", "0.6"],
+    "gate": ["gate", "--u", "hadamard"],
+    "trajectory": ["trajectory", "--dt", "1e-2"],
+}
+
+
+def _readme_jsonl_keys():
+    """{command: keys} from README's table of JSONL records."""
+    text = (REPO_ROOT / "README.md").read_text()
+    section = text.split("### JSONL records", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            command, keys = line.strip("|").split("|")[:2]
+            rows[command.strip().strip("`")] = sorted(
+                re.findall(r"`(\w+)`", keys))
+    return rows
+
+
+def test_readme_lists_the_jsonl_keys_of_every_command():
+    assert sorted(_readme_jsonl_keys()) == sorted(_JSONL_ARGV)
+
+
+@pytest.mark.parametrize("command", sorted(_JSONL_ARGV),
+                         ids=lambda c: c.replace(" ", "-"))
+def test_jsonl_records_carry_the_readme_keys(command, capsys, tmp_path):
+    jsonl = tmp_path / "records.jsonl"
+    assert main(_JSONL_ARGV[command] + ["--n", "3", "--jsonl", str(jsonl)]) == 0
+    capsys.readouterr()
+    lines = jsonl.read_text().splitlines()
+    assert len(lines) == 3
+    # json.loads keeps the file's key order, which is sorted
+    assert list(json.loads(lines[0])) == _readme_jsonl_keys()[command]
+
+
+def test_write_jsonl_refuses_columns_of_unequal_length(tmp_path):
+    path = str(tmp_path / "records.jsonl")
+    with pytest.raises(ValueError):
+        cli._write_jsonl(path, {"trial": range(3), "theta": np.zeros(2)})
+    with pytest.raises(ValueError):
+        cli._write_jsonl(path, {"trial": range(2), "theta": np.zeros(3)})
+
+
+def test_write_jsonl_encodes_float_arrays_as_python_floats(tmp_path):
+    values = [0.1, 1.0 / 3.0, 2.0 * math.pi, 5e-324, 1e300]
+    lines = []
+    for theta in (values, np.array(values)):
+        path = tmp_path / "records.jsonl"
+        cli._write_jsonl(str(path), {"trial": range(5), "theta": theta})
+        lines.append(path.read_text())
+    assert lines[0] == lines[1]
+    assert json.loads(lines[1].splitlines()[1]) == {"trial": 1,
+                                                    "theta": 1.0 / 3.0}
+
+
 # ---- config files ----
 
 def test_config_file_defaults_and_override(capsys, tmp_path):
@@ -419,21 +486,62 @@ def _outputs_at_chunk_sizes(capsys, tmp_path, monkeypatch, knob, chunks, argv):
     return blobs
 
 
+_SAMPLE_COMMANDS = {
+    "apm": ["sample", "apm", "--state", "plus-split", "--n", "5000",
+            "--seed", "8"],
+    "homodyne": ["sample", "homodyne", "--state", "babichev", "--n", "5000",
+                 "--seed", "8"],
+    "count": ["sample", "count", "--state", "bell-dual", "--n", "5000",
+              "--seed", "8"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SAMPLE_COMMANDS))
 def test_sample_outputs_identical_across_chunk_sizes(capsys, tmp_path,
-                                                     monkeypatch):
+                                                     monkeypatch, kind):
     small, large = _outputs_at_chunk_sizes(
         capsys, tmp_path, monkeypatch, "SAMPLE_CHUNK", (64, 4096),
-        ["sample", "apm", "--state", "plus-split", "--n", "5000", "--seed", "8"])
+        _SAMPLE_COMMANDS[kind])
     assert small == large
 
 
+_PROTOCOL_COMMANDS = {
+    "gate": ["gate", "--u", "hadamard", "--input", "qubit:0.6,1.0",
+             "--n", "600", "--seed", "11"],
+    "prep": ["prep", "--alpha", "0.6", "--phi", "0.4", "--n", "600",
+             "--seed", "11"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PROTOCOL_COMMANDS))
 def test_protocol_outputs_identical_across_chunk_sizes(capsys, tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch, command):
     small, large = _outputs_at_chunk_sizes(
         capsys, tmp_path, monkeypatch, "PROTOCOL_CHUNK", (7, 256),
-        ["gate", "--u", "hadamard", "--input", "qubit:0.6,1.0", "--n", "600",
-         "--seed", "11"])
+        _PROTOCOL_COMMANDS[command])
     assert small == large
+
+
+@pytest.mark.parametrize("backend", ["analytic", "trajectory"])
+def test_protocol_chunk_columns_equal_per_trial_records(backend):
+    # The chunk seeds through trial_rngs; each record of the oracle gets
+    # its own trial_rng.  A seed of 2**32 or more takes trial_rngs'
+    # per-trial fallback.
+    apm = (apm_sample if backend == "analytic"
+           else partial(trajectory_apm, pulse=make_pulse("flat", dt=1e-2)))
+    targets = {"prepare": {"spec": PrepSpec(alpha=0.6, phi=0.4)},
+               "gate": {"qubit": parse_input_qubit("qubit:0.6,1.0"),
+                        "u": HADAMARD}}
+    bounds = (5, 17)
+    for seed in (11, 2**32 + 3):
+        for protocol, target in targets.items():
+            columns = cli._protocol_chunk(bounds, protocol, apm, seed, **target)
+            records = [run_protocol_trial(protocol, apm, seed, i,
+                                          trial_rng(seed, i), **target)
+                       for i in range(*bounds)]
+            assert all(len(col) == len(records) for col in columns.values())
+            for row, record in enumerate(records):
+                assert {k: col[row] for k, col in columns.items()} == record
 
 
 def test_protocol_outputs_identical_across_worker_counts(tmp_path):

@@ -330,14 +330,17 @@ def test_gate_failure_collapses_output_qubit():
 
 def test_protocol_trial_record_is_json_serializable_and_deterministic():
     spec = PrepSpec(alpha=0.6, phi=0.785)
-    rec1 = run_protocol_trial("prepare", apm_sample, 5, 9, spec=spec)
-    rec2 = run_protocol_trial("prepare", apm_sample, 5, 9, spec=spec)
+    rec1 = run_protocol_trial("prepare", apm_sample, 5, 9, trial_rng(5, 9),
+                              spec=spec)
+    rec2 = run_protocol_trial("prepare", apm_sample, 5, 9, trial_rng(5, 9),
+                              spec=spec)
     assert rec1 == rec2
     assert rec1["seed"] == [5, 9]
     assert rec1["fidelity"] > 1.0 - 1e-12
     assert len(rec1["theta_values"]) == 1
     json.dumps(rec1)
-    rec3 = run_protocol_trial("prepare", apm_sample, 5, 10, spec=spec)
+    rec3 = run_protocol_trial("prepare", apm_sample, 5, 10, trial_rng(5, 10),
+                              spec=spec)
     assert rec3["theta_values"] != rec1["theta_values"]
 
 
@@ -345,7 +348,7 @@ def test_gate_trial_record_counts_and_thetas():
     u = np.array([[RT2, RT2], [RT2, -RT2]], dtype=complex)
     succ_thetas, fail_thetas = set(), set()
     for i in range(40):
-        rec = run_protocol_trial("gate", apm_sample, 21, i,
+        rec = run_protocol_trial("gate", apm_sample, 21, i, trial_rng(21, i),
                                  qubit=(1.0, 0.0), u=u)
         json.dumps(rec)
         if rec["success"]:
@@ -354,7 +357,7 @@ def test_gate_trial_record_counts_and_thetas():
         else:
             assert len(rec["theta_values"]) == 1
             assert rec["collapsed"] in (0, 1)
-    rec = run_protocol_trial("teleport", apm_sample, 3, 0,
+    rec = run_protocol_trial("teleport", apm_sample, 3, 0, trial_rng(3, 0),
                              qubit=(0.6, 0.8j))
     assert rec["protocol"] == "teleport"
     assert rec["counts"] is not None
@@ -371,12 +374,12 @@ def test_trial_records_the_phases_its_apm_returned():
         return MeasurementOutcome(value=theta, posterior=out.posterior,
                                   density=out.density)
 
-    rec = run_protocol_trial("prepare", fake_apm, 5, 9,
+    rec = run_protocol_trial("prepare", fake_apm, 5, 9, trial_rng(5, 9),
                              spec=PrepSpec(alpha=0.6, phi=0.785))
     assert rec["theta_values"] == returned == [0.25]
     for i in range(40):
         returned.clear()
-        rec = run_protocol_trial("gate", fake_apm, 21, i,
+        rec = run_protocol_trial("gate", fake_apm, 21, i, trial_rng(21, i),
                                  qubit=(1.0, 0.0), u=HADAMARD)
         if rec["success"]:
             break
@@ -387,7 +390,7 @@ def test_trial_records_the_phases_its_apm_returned():
 
 def test_unknown_protocol_rejected():
     with pytest.raises(ValueError):
-        run_protocol_trial("bogus", apm_sample, 0, 0)
+        run_protocol_trial("bogus", apm_sample, 0, 0, trial_rng(0, 0))
 
 
 # ---- trajectory backend equivalence ----
@@ -412,7 +415,8 @@ def test_preparation_measurement_statistics_match_analytic():
 def test_prepare_trial_with_trajectory_backend_reaches_target():
     apm = partial(trajectory_apm, pulse=make_pulse("flat", dt=1e-3))
     spec = PrepSpec(alpha=0.6, phi=0.785)
-    fids = [run_protocol_trial("prepare", apm, 41, i, spec=spec)["fidelity"]
+    fids = [run_protocol_trial("prepare", apm, 41, i, trial_rng(41, i),
+                               spec=spec)["fidelity"]
             for i in range(20)]
     assert min(fids) > 0.98
     assert np.mean(fids) > 0.99
@@ -498,7 +502,8 @@ def test_batched_replay_matches_scalar_gate_trials():
     got_theta2 = iter(theta2)
     got_fids = iter(fids)
     for i in range(6):
-        rec = run_protocol_trial("gate", apm, 61, i, qubit=(c0, c1), u=u)
+        rec = run_protocol_trial("gate", apm, 61, i, trial_rng(61, i),
+                                 qubit=(c0, c1), u=u)
         assert rec["success"] == (kinds[i] in ("bell_plus", "bell_minus"))
         assert np.isclose(rec["theta_values"][0], theta1[i], atol=1e-12)
         if rec["success"]:
