@@ -43,7 +43,10 @@ class OverOccupiedError(Exception):
 
 def _check_occupation(occ, n_modes: int) -> tuple:
     """(occ as a tuple of ints, whether it exceeds the caps)."""
-    occ = tuple(map(int, occ))
+    given = tuple(occ)
+    occ = tuple(map(int, given))
+    if occ != given:
+        raise ValueError(f"non-integral occupation in {given}")
     if len(occ) != n_modes:
         raise ValueError(f"occupation {occ} has wrong length for {n_modes} modes")
     if min(occ, default=0) < 0:
@@ -69,6 +72,9 @@ class PureState:
         Map from occupation tuples (length ``n_modes``) to complex
         amplitudes.  Not required to be normalized.  Stored in
         lexicographic occupation order.
+
+    Operations return new states and nothing writes ``amplitudes``, so
+    one state may be shared, for example by every trial of a run.
     """
 
     n_modes: int

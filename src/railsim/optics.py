@@ -115,13 +115,16 @@ def two_mode_unitary(state: PureState, m1: int, m2: int, v: np.ndarray) -> PureS
     creation operators.  Raises TruncationError if a non-negligible
     output amplitude would exceed the Fock-space caps.
     """
-    v = check_unitary(v)
+    return _apply_two_mode(state, m1, m2, check_unitary(v).tobytes())
+
+
+def _apply_two_mode(state: PureState, m1: int, m2: int, key: bytes) -> PureState:
+    """:func:`two_mode_unitary` for the bytes of a checked unitary."""
     if m1 == m2:
         raise ValueError("modes must be distinct")
     for m in (m1, m2):
         if not 0 <= m < state.n_modes:
             raise ValueError(f"mode {m} out of range for {state.n_modes} modes")
-    key = v.tobytes()
     amps = {}
     for occ, amp in state.items():
         for (k1, k2), coeff in _pair_image(occ[m1], occ[m2], key):
@@ -173,8 +176,9 @@ def dual_rail_unitary(state: PureState, qubit: DualRailQubit, u: np.ndarray) -> 
     as the same optics dictates.  In hardware this is phase shifters
     around a single beamsplitter (Reck et al., PRL 73, 58 (1994)).
     """
-    return two_mode_unitary(state, qubit.rail0, qubit.rail1,
-                            check_unitary(u)[::-1, ::-1])
+    # Reversing both axes keeps a matrix unitary, so u is checked once.
+    return _apply_two_mode(state, qubit.rail0, qubit.rail1,
+                           check_unitary(u)[::-1, ::-1].tobytes())
 
 
 def single_rail_bell() -> PureState:

@@ -116,9 +116,11 @@ def photon_count(state: PureState, modes, rng: np.random.Generator) -> Measureme
             raise ValueError(f"mode {m} out of range for {state.n_modes} modes")
     total = state.norm_sq()
     probs = {}
+    entries = {}  # counts -> that outcome's entries, in state order
     for occ, amp in state.items():
-        key = tuple(occ[m] for m in modes)
+        key = tuple([occ[m] for m in modes])
         probs[key] = probs.get(key, 0.0) + abs(amp) ** 2 / total
+        entries.setdefault(key, []).append((occ, amp))
     outcomes = sorted(probs.items())
     u = rng.random()
     acc = 0.0
@@ -133,9 +135,7 @@ def photon_count(state: PureState, modes, rng: np.random.Generator) -> Measureme
     rest_modes = [m for m in range(state.n_modes) if m not in modes]
     z = 1.0 / math.sqrt(probs[counts] * total)
     posterior = PureState(len(rest_modes), {
-        tuple(occ[m] for m in rest_modes): z * amp
-        for occ, amp in state.items()
-        if tuple(occ[m] for m in modes) == counts})
+        tuple([occ[m] for m in rest_modes]): z * amp for occ, amp in entries[counts]})
     return MeasurementOutcome(value=counts, posterior=posterior,
                               density=probs[counts])
 
@@ -235,12 +235,19 @@ def _apm_overlap(state: PureState, mode: int) -> complex:
         raise OverOccupiedError(
             f"mode {mode} carries weight {over:.3g} on occupations >= 2"
         )
+    # Sum conj(a_0) a_1 over the rest occupations in sorted order.  State
+    # order visits a rest's n = 0 entry before its n = 1 entry, and the
+    # n = 1 entries in sorted rest order.
+    zero_amps = {}
     z = 0.0 + 0.0j
-    groups = _mode_groups(state, mode)
-    for rest in sorted(groups):
-        vec = groups[rest]
-        z += vec[0].conjugate() * vec[1]
-    return z / total
+    for occ, amp in state.items():
+        n = occ[mode]
+        if n == 0:
+            zero_amps[occ[:mode] + occ[mode + 1:]] = amp
+        elif n == 1:
+            z += zero_amps.get(occ[:mode] + occ[mode + 1:], 0.0).conjugate() * amp
+    # Divided as a numpy scalar, so z keeps its type and numpy's rounding.
+    return np.complex128(z) / total
 
 
 def apm_density(state: PureState, mode: int) -> ApmDensity:

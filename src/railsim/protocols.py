@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,9 +85,7 @@ def prepare_arbitrary(spec: PrepSpec, apm, rng) -> PureState:
     port that keeps amplitude alpha is phase-measured and the outcome,
     together with the target phase, feeds forward onto the free port.
     """
-    state = single_photon(0, 2)
-    state = beamsplitter(state, BeamsplitterSpec(0, 1, spec.alpha * spec.alpha))
-    out = apm(state, 0, rng)
+    out = apm(_split_photon(spec.alpha), 0, rng)
     return apply_phase(out.posterior, 0, -(out.value + spec.phi))
 
 
@@ -121,8 +120,7 @@ def hybrid_bell(apm, rng):
     (|0>|10> + |1>|01>)/sqrt(2) on three modes.  Returns
     (state, SingleRailQubit, DualRailQubit).
     """
-    bell = dual_rail_bell()
-    state, single = dual_to_single(bell, DualRailQubit(0, 1), apm, rng)
+    state, single = dual_to_single(_bell_pair(), DualRailQubit(0, 1), apm, rng)
     return state, single, DualRailQubit(1, 2)
 
 
@@ -222,6 +220,15 @@ def qubit_state(c0: complex, c1: complex) -> PureState:
     return PureState(1, {(0,): c0, (1,): c1}).normalized()
 
 
+# The states that every trial of a run starts from are built once per
+# process and shared: no operation writes a state it is given.
+_bell_pair = lru_cache(maxsize=1)(dual_rail_bell)
+_input_state = lru_cache(maxsize=16)(qubit_state)
+_prep_target = lru_cache(maxsize=16)(PrepSpec.target)
+_split_photon = lru_cache(maxsize=16)(lambda alpha: beamsplitter(
+    single_photon(0, 2), BeamsplitterSpec(0, 1, alpha * alpha)))
+
+
 def logical_target_fidelity(state: PureState, qubit, c0: complex, c1: complex) -> float:
     """Fidelity of ``state`` with the target qubit embedded in vacuum.
 
@@ -270,10 +277,10 @@ def run_protocol_trial(protocol: str, apm, master_seed: int,
     }
     if protocol == "prepare":
         out = prepare_arbitrary(spec, recorded_apm, rng)
-        record["fidelity"] = float(fidelity(out, spec.target()))
+        record["fidelity"] = float(fidelity(out, _prep_target(spec)))
     elif protocol in ("teleport", "gate"):
         c0, c1 = qubit
-        state = qubit_state(c0, c1)
+        state = _input_state(complex(c0), complex(c1))
         if protocol == "teleport":
             out = teleport_single_to_dual(state, SingleRailQubit(0),
                                           recorded_apm, rng)

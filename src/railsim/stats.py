@@ -41,6 +41,7 @@ def chi2_sf(x: float, k: int) -> float:
     """
     if k < 1 or k != int(k):
         raise ValueError(f"degrees of freedom must be a positive integer, got {k}")
+    k = int(k)
     if x <= 0:
         return 1.0
     h = 0.5 * x

@@ -17,12 +17,15 @@ import numpy as np
 import pytest
 
 import railsim
-from railsim import cli
+from railsim import cli, protocols
 from railsim.cli import (ConfigError, main, named_state, parse_input_qubit,
                          parse_policy, parse_unitary)
-from railsim.optics import HADAMARD
+from railsim.fock import single_photon
+from railsim.optics import (HADAMARD, BeamsplitterSpec, beamsplitter,
+                            dual_rail_bell)
 from railsim.povm import apm_sample
-from railsim.protocols import PrepSpec, run_protocol_trial, trajectory_apm
+from railsim.protocols import (PrepSpec, qubit_state, run_protocol_trial,
+                               trajectory_apm)
 from railsim.runner import trial_rng
 from railsim.trajectory import make_pulse
 
@@ -542,6 +545,36 @@ def test_protocol_chunk_columns_equal_per_trial_records(backend):
             assert all(len(col) == len(records) for col in columns.values())
             for row, record in enumerate(records):
                 assert {k: col[row] for k, col in columns.items()} == record
+
+
+@pytest.mark.parametrize("backend", ["analytic", "trajectory"])
+def test_protocol_chunks_leave_shared_states_unchanged(backend):
+    # Every trial of a run reads the same few states, built once; after
+    # whole chunks they are the same objects and still equal fresh ones.
+    apm = (apm_sample if backend == "analytic"
+           else partial(trajectory_apm, pulse=make_pulse("flat", dt=1e-2)))
+    spec = PrepSpec(alpha=0.6, phi=0.4)
+    c0, c1 = parse_input_qubit("qubit:0.6,1.0")
+
+    def shared():
+        return {"bell": protocols._bell_pair(),
+                "input": protocols._input_state(c0, c1),
+                "split": protocols._split_photon(spec.alpha),
+                "target": protocols._prep_target(spec)}
+
+    before = shared()
+    for protocol, target in (("prepare", {"spec": spec}),
+                             ("teleport", {"qubit": (c0, c1)}),
+                             ("gate", {"qubit": (c0, c1), "u": HADAMARD})):
+        cli._protocol_chunk((0, 8), protocol, apm, 3, **target)
+    fresh = {"bell": dual_rail_bell(), "input": qubit_state(c0, c1),
+             "split": beamsplitter(single_photon(0, 2), BeamsplitterSpec(
+                 0, 1, spec.alpha * spec.alpha)),
+             "target": spec.target()}
+    for name, state in shared().items():
+        assert state is before[name]
+        assert state.n_modes == fresh[name].n_modes
+        assert list(state.items()) == list(fresh[name].items())
 
 
 def test_protocol_outputs_identical_across_worker_counts(tmp_path):

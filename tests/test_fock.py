@@ -71,6 +71,17 @@ def test_negative_occupation_rejected():
             PureState(1, form({(-1,): 1.0}))
 
 
+def test_non_integral_occupation_rejected():
+    for form in KEY_FORMS:
+        with pytest.raises(ValueError, match="non-integral"):
+            PureState(1, form({(0,): 0.6, (0.5,): 0.8}))
+        with pytest.raises(ValueError, match="non-integral"):
+            PureState(2, form({(1.7, 0): 1.0}))
+        # integer-valued numpy ints stay accepted, stored as Python ints
+        st_ = PureState(2, form({(np.int64(1), np.int64(0)): 1.0}))
+        assert [tuple(map(type, occ)) for occ in st_.amplitudes] == [(int, int)]
+
+
 def test_wrong_occupation_length_rejected():
     for form in KEY_FORMS:
         with pytest.raises(ValueError, match="wrong length"):

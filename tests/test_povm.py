@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from railsim.fock import (PureState, fidelity, fock_state, project_mode,
                          single_photon, vacuum)
 from railsim.optics import BeamsplitterSpec, beamsplitter
-from railsim.povm import (ApmDensity, OverOccupiedError, _apm_pdf, apm_density,
-                          apm_sample, homodyne_cdf, homodyne_density,
+from railsim.povm import (ApmDensity, OverOccupiedError, _apm_overlap, _apm_pdf,
+                          apm_density, apm_sample, homodyne_cdf, homodyne_density,
                           homodyne_sample, make_grid, photon_count, quad_psi)
 
+import dict_ops
 from paper_checks import apm_completeness
 
 
@@ -108,6 +109,22 @@ def test_scalar_phase_density_equals_array_density(r, arg, theta):
     # |z| <= 1/2 covers every APM input; apm_density returns a numpy z.
     z = r * complex(math.cos(arg), math.sin(arg))
     assert _apm_pdf(z, theta) == float(ApmDensity(np.complex128(z))(theta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dict_ops.states())
+def test_apm_overlap_equals_reference(state):
+    for mode in range(state.n_modes):
+        try:
+            want = dict_ops.apm_overlap(state, mode)
+        except OverOccupiedError:
+            with pytest.raises(OverOccupiedError):
+                _apm_overlap(state, mode)
+            continue
+        dens = apm_density(state, mode)
+        assert type(dens.z) is type(want)
+        assert dens.z == want
+        assert dens.max_density == ApmDensity(want).max_density
 
 
 def test_phase_sample_mean_direction_estimates_overlap():
@@ -232,6 +249,20 @@ def test_count_probabilities_reproduce_born_rule():
     ones = sum(photon_count(state, (0, 1), rng).value[0] for _ in range(n))
     # mode 0 keeps the photon with probability eta
     assert abs(ones / n - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dict_ops.states(), st.floats(0.0, 1.0, exclude_max=True))
+def test_photon_count_equals_reference(state, u):
+    rng = SimpleNamespace(random=lambda: u)
+    for k in range(1, state.n_modes + 1):
+        for modes in itertools.combinations(range(state.n_modes), k):
+            out = photon_count(state, modes, rng)
+            want = dict_ops.photon_count(state, modes, rng)
+            assert out.value == want.value
+            assert out.density == want.density
+            assert out.posterior.n_modes == want.posterior.n_modes
+            assert list(out.posterior.items()) == list(want.posterior.items())
 
 
 def test_count_posterior_equals_chained_one_hot_projections():

@@ -29,6 +29,11 @@ def test_chi2_sf_edges():
     assert math.isfinite(far) and abs(far) <= 1e-300
     with pytest.raises(ValueError):
         chi2_sf(1.0, 0)
+    with pytest.raises(ValueError):
+        chi2_sf(1.0, 2.5)
+    # an integral float k is the integer k
+    for k in (1, 2, 3, 4, 39, 40):
+        assert chi2_sf(3.0, float(k)) == chi2_sf(3.0, k)
 
 
 def test_chi2_gof_pvalue_matches_scipy_tail(monkeypatch):
