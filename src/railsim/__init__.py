@@ -16,9 +16,9 @@ from .protocols import (BsmOutcome, GateOutcome, PrepSpec,
                         prepare_arbitrary, qubit_state, run_protocol_trial,
                         teleport_single_to_dual, trajectory_apm)
 from .runner import trial_rng, worker_count
-from .trajectory import (EnsembleResult, FeedbackPolicy, PulseShape,
-                         TrajectoryDivergedError, TrajectoryRecord,
-                         make_pulse, run_dyne_ensemble, simulate_dyne)
+from .trajectory import (FeedbackPolicy, PulseShape, TrajectoryDivergedError,
+                         TrajectoryRecord, make_pulse, run_dyne_ensemble,
+                         simulate_dyne)
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "prepare_arbitrary", "qubit_state",
     "run_protocol_trial", "teleport_single_to_dual", "trajectory_apm",
     "trial_rng", "worker_count",
-    "EnsembleResult", "FeedbackPolicy", "PulseShape",
+    "FeedbackPolicy", "PulseShape",
     "TrajectoryDivergedError", "TrajectoryRecord",
     "make_pulse", "run_dyne_ensemble", "simulate_dyne",
     "__version__",

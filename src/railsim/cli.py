@@ -21,7 +21,6 @@ import math
 import sys
 from collections import Counter
 from functools import partial
-from itertools import chain
 
 import jsonschema
 import numpy as np
@@ -34,8 +33,7 @@ from .optics import (BeamsplitterSpec, HADAMARD, IDENTITY, PAULI_X, PAULI_Z,
 from .povm import (apm_density, apm_sample, homodyne_cdf, homodyne_invert,
                    photon_count)
 from .protocols import PrepSpec, run_protocol_trial, trajectory_apm
-from .runner import (chunk_ranges, map_chunks, trial_rng, trial_rngs,
-                     worker_count)
+from .runner import run_chunked, trial_rng, trial_rngs, worker_count
 from .stats import chi2_gof_pvalue, ks_statistic
 from .trajectory import (FeedbackPolicy, TrajectoryDivergedError, make_pulse,
                          run_dyne_ensemble, simulate_dyne)
@@ -217,18 +215,6 @@ def _protocol_chunk(bounds, protocol, apm, seed, **target):
     return {key: [r[key] for r in records] for key in records[0]}
 
 
-def _run_chunked(fn, n, threads, chunk):
-    """The columns of ``fn`` over the chunks of range(n), in trial order."""
-    parts = map_chunks(fn, chunk_ranges(n, chunk), threads)
-    columns = {}
-    for key in parts[0]:
-        pieces = [p[key] for p in parts]
-        columns[key] = (np.concatenate(pieces)
-                        if isinstance(pieces[0], np.ndarray)
-                        else list(chain.from_iterable(pieces)))
-    return columns
-
-
 def _common_ints(args):
     n = int(args.n)
     if n < 1:
@@ -238,6 +224,13 @@ def _common_ints(args):
         raise ConfigError(f"--seed must be non-negative, got {seed}")
     threads = worker_count(None if args.threads is None else int(args.threads))
     return n, seed, threads
+
+
+def _trajectory_pulse(args, config):
+    """The pulse of a trajectory-backend run; records it in config."""
+    pulse = make_pulse(args.pulse, dt=float(args.dt))
+    config.update({"pulse": pulse.kind, "dt": pulse.dt})
+    return pulse
 
 
 def cmd_sample(args):
@@ -256,8 +249,8 @@ def cmd_sample(args):
         modes = tuple(range(state.n_modes))
 
         def run_count():
-            cols = _run_chunked(partial(_count_chunk, state=state, modes=modes,
-                                        seed=seed), n, threads, SAMPLE_CHUNK)
+            cols = run_chunked(partial(_count_chunk, state=state, modes=modes,
+                                       seed=seed), n, SAMPLE_CHUNK, threads)
             _write_jsonl(args.jsonl, {"trial": range(n), **cols})
             by_outcome = Counter(",".join(map(str, c)) for c in cols["counts"])
             results = {"n_trials": n,
@@ -273,18 +266,17 @@ def cmd_sample(args):
     if kind == "apm":
         dens = apm_density(state, mode)
         if backend == "trajectory":
-            pulse = make_pulse(args.pulse, dt=float(args.dt))
+            pulse = _trajectory_pulse(args, config)
             policy = FeedbackPolicy.adaptive(loop_delay=float(args.delay))
-            config.update({"pulse": pulse.kind, "dt": pulse.dt,
-                           "delay": policy.loop_delay})
+            config["delay"] = policy.loop_delay
 
         def run_apm():
             if backend == "analytic":
-                cols = _run_chunked(partial(_apm_chunk, state=state, mode=mode,
-                                            seed=seed), n, threads, SAMPLE_CHUNK)
+                cols = run_chunked(partial(_apm_chunk, state=state, mode=mode,
+                                           seed=seed), n, SAMPLE_CHUNK, threads)
             else:
                 theta = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
-                                          threads=threads).theta
+                                          threads=threads)["theta"]
                 cols = {"theta": theta, "density": dens(theta)}
             _write_jsonl(args.jsonl, {"trial": range(n), **cols})
             thetas = cols["theta"]
@@ -301,18 +293,17 @@ def cmd_sample(args):
     xs, pdf, cdf = homodyne_cdf(state, mode, phi)
     config["phi"] = phi
     if backend == "trajectory":
-        pulse = make_pulse(args.pulse, dt=float(args.dt))
+        pulse = _trajectory_pulse(args, config)
         policy = FeedbackPolicy.homodyne(phi)
-        config.update({"pulse": pulse.kind, "dt": pulse.dt})
 
     def run_homodyne():
         if backend == "analytic":
-            cols = _run_chunked(partial(_homodyne_chunk, xs=xs, pdf=pdf,
-                                        cdf=cdf, seed=seed),
-                                n, threads, SAMPLE_CHUNK)
+            cols = run_chunked(partial(_homodyne_chunk, xs=xs, pdf=pdf,
+                                       cdf=cdf, seed=seed),
+                               n, SAMPLE_CHUNK, threads)
         else:
             x = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
-                                  threads=threads).x
+                                  threads=threads)["x"]
             cols = {"x": x, "density": np.interp(x, xs, pdf)}
         _write_jsonl(args.jsonl, {"trial": range(n), **cols})
         values = cols["x"]
@@ -333,9 +324,7 @@ def _protocol_apm(args, config):
     config["backend"] = args.backend
     if args.backend == "analytic":
         return apm_sample
-    pulse = make_pulse(args.pulse, dt=float(args.dt))
-    config.update({"dt": pulse.dt, "pulse": pulse.kind})
-    return partial(trajectory_apm, pulse=pulse)
+    return partial(trajectory_apm, pulse=_trajectory_pulse(args, config))
 
 
 def cmd_prep(args):
@@ -347,9 +336,9 @@ def cmd_prep(args):
     apm = _protocol_apm(args, config)
 
     def run():
-        cols = _run_chunked(partial(_protocol_chunk, protocol="prepare",
-                                    apm=apm, seed=seed, spec=spec),
-                            n, threads, PROTOCOL_CHUNK)
+        cols = run_chunked(partial(_protocol_chunk, protocol="prepare",
+                                   apm=apm, seed=seed, spec=spec),
+                           n, PROTOCOL_CHUNK, threads)
         _write_jsonl(args.jsonl, cols)
         fids = cols["fidelity"]
         results = {"n_trials": n,
@@ -370,9 +359,9 @@ def cmd_gate(args):
     apm = _protocol_apm(args, config)
 
     def run():
-        cols = _run_chunked(partial(_protocol_chunk, protocol="gate",
-                                    apm=apm, seed=seed, qubit=(c0, c1), u=u),
-                            n, threads, PROTOCOL_CHUNK)
+        cols = run_chunked(partial(_protocol_chunk, protocol="gate",
+                                   apm=apm, seed=seed, qubit=(c0, c1), u=u),
+                           n, PROTOCOL_CHUNK, threads)
         _write_jsonl(args.jsonl, cols)
         by_counts = Counter(",".join(map(str, c)) for c in cols["counts"])
         # collapsed holds None, 0 or 1, never a bool
@@ -395,30 +384,29 @@ def cmd_trajectory(args):
     if not 0 <= mode < state.n_modes:
         raise ConfigError(f"mode {mode} out of range for state {state_name!r}")
     n, seed, threads = _common_ints(args)
-    pulse = make_pulse(args.pulse, dt=float(args.dt))
-    policy = parse_policy(args.policy, float(args.delay))
-    adaptive = policy.kind == "adaptive"
     config = {"state": state_name, "mode": mode, "n": n, "seed": seed,
-              "pulse": pulse.kind, "dt": pulse.dt,
-              "policy": args.policy.strip().lower(), "delay": policy.loop_delay}
+              "policy": args.policy.strip().lower()}
+    pulse = _trajectory_pulse(args, config)
+    policy = parse_policy(args.policy, float(args.delay))
+    config["delay"] = policy.loop_delay
+    adaptive = policy.kind == "adaptive"
     density = apm_density(state, mode) if adaptive else None
 
     def run():
-        res = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
-                                want_fidelity=adaptive, threads=threads)
-        _write_jsonl(args.jsonl, {"trial": range(n), "theta": res.theta,
-                                  "x": res.x,
-                                  "residual_weight": res.residual_weight})
+        cols = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
+                                 threads=threads)
+        fidelity = cols.pop("fidelity", None)
+        _write_jsonl(args.jsonl, {"trial": range(n), **cols})
         results = {"n_trials": n,
-                   "mean_residual_weight": float(res.residual_weight.mean())}
-        results.update(_moments(res.x))
+                   "mean_residual_weight": float(cols["residual_weight"].mean())}
+        results.update(_moments(cols["x"]))
         if density is not None:
-            results["ks_theta"] = float(ks_statistic(res.theta, density.cdf))
-        if res.fidelity is not None:
-            results["fidelity_min"] = float(res.fidelity.min())
-            results["fidelity_mean"] = float(res.fidelity.mean())
-        results["histogram"] = _histogram(res.theta if adaptive else res.x,
-                                          THETA_EDGES if adaptive else QUAD_EDGES)
+            results["ks_theta"] = float(ks_statistic(cols["theta"], density.cdf))
+        if fidelity is not None:
+            results["fidelity_min"] = float(fidelity.min())
+            results["fidelity_mean"] = float(fidelity.mean())
+        key, edges = ("theta", THETA_EDGES) if adaptive else ("x", QUAD_EDGES)
+        results["histogram"] = _histogram(cols[key], edges)
         if args.full_record:
             record, _ = simulate_dyne(state, mode, pulse, policy,
                                       trial_rng(seed, 0), keep_series=True)

@@ -44,7 +44,10 @@ class OverOccupiedError(Exception):
 def _check_occupation(occ, n_modes: int) -> tuple:
     """(occ as a tuple of ints, whether it exceeds the caps)."""
     given = tuple(occ)
-    occ = tuple(map(int, given))
+    try:
+        occ = tuple(map(int, given))
+    except (OverflowError, ValueError):  # int() of an infinity or a NaN
+        occ = None
     if occ != given:
         raise ValueError(f"non-integral occupation in {given}")
     if len(occ) != n_modes:

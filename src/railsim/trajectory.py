@@ -48,7 +48,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .fock import APM_OCCUPATION_TOL, OverOccupiedError, PureState
-from .runner import DEFAULT_CHUNK, chunk_ranges, map_chunks, trial_rngs
+from .runner import DEFAULT_CHUNK, run_chunked, trial_rngs
 
 EPS_END = 1e-6
 
@@ -250,17 +250,6 @@ def _wiener_increments(lanes: int, rngs, pulse: PulseShape) -> np.ndarray:
     return noise
 
 
-@dataclass
-class _KernelResult:
-    theta: np.ndarray
-    x: np.ndarray
-    a_final: np.ndarray
-    residual: np.ndarray
-    phases: np.ndarray | None = None
-    i_dt: np.ndarray | None = None
-    j_dt: np.ndarray | None = None
-
-
 class _KrausLanes:
     """Lanes whose measured mode holds at most one photon, in Kraus form.
 
@@ -315,8 +304,8 @@ class _KrausLanes:
 
 
 def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
-            policy: FeedbackPolicy, keep_series: bool = False) -> _KernelResult:
-    """Run the per-step update for a batch of trajectories.
+            policy: FeedbackPolicy, keep_series: bool = False) -> dict:
+    """Run the per-step update for a batch of trajectories; returns columns.
 
     ``noise`` holds the Wiener increments, shape (batch, n_steps), and
     sets the lane count.  ``a0`` has shape (batch, levels, n_rest) and
@@ -329,13 +318,16 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
     path is identical no matter how trials are batched.  A lone adaptive
     lane with no loop delay, the phase measurement of a protocol trial,
     runs the same operations on Python floats (:func:`_one_kraus_lane`).
-    ``a_final`` holds the normalized final rows.
+    The columns are those of :func:`_finish`, plus the per-step
+    ``phases``, ``i_dt`` and ``j_dt``, shape (batch, n_steps), under
+    ``keep_series``.  A loop delay of the whole pulse or more only ever
+    reads the initial zero phase, so the delay ring is capped there.
     """
     batch = len(noise)
     n_steps = pulse.n_steps
     dt = pulse.dt
     adaptive = policy.kind == "adaptive"
-    lag = int(round(policy.loop_delay / dt))
+    lag = round(min(policy.loop_delay / dt, n_steps))
     if adaptive and policy.loop_delay > DELAY_WARN_FRACTION * (pulse.t[-1] + dt):
         warnings.warn(
             "adaptive loop delay is not small compared to the pulse; "
@@ -398,7 +390,7 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
 
     out = _finish(lanes, s_sum, x_sum, n_steps)
     if keep_series:
-        out.phases, out.i_dt, out.j_dt = ser_phi, ser_idt, ser_jdt
+        out.update(phases=ser_phi, i_dt=ser_idt, j_dt=ser_jdt)
     return out
 
 
@@ -444,9 +436,10 @@ def _one_kraus_lane(lanes: _KrausLanes, noise: np.ndarray, drive, sqrt_u,
     return p_re, p_im, s, x
 
 
-def _finish(lanes, s_sum: np.ndarray, x_sum: np.ndarray,
-            n_steps: int) -> _KernelResult:
-    """Phase estimates and normalized final rows of stepped ``lanes``."""
+def _finish(lanes, s_sum: np.ndarray, x_sum: np.ndarray, n_steps: int) -> dict:
+    """Columns of stepped ``lanes``: the phase estimate ``theta``, the
+    current ``x``, the ``residual_weight`` projected onto vacuum and the
+    normalized final rows ``a_final``."""
     rows = lanes.rows()
     norm2 = (rows.real ** 2 + rows.imag ** 2).sum(axis=(1, 2))
     if not np.all(np.isfinite(norm2)) or np.any(norm2 <= 0.0):
@@ -454,10 +447,8 @@ def _finish(lanes, s_sum: np.ndarray, x_sum: np.ndarray,
     theta = np.mod(s_sum - 0.5 * math.pi, 2.0 * math.pi)
     row0 = rows[:, 0, :]
     w0 = (row0.real ** 2 + row0.imag ** 2).sum(axis=1)
-    residual = 1.0 - w0 / norm2
-    a_final = rows / np.sqrt(norm2)[:, None, None]
-    return _KernelResult(theta=theta, x=x_sum, a_final=a_final,
-                         residual=residual)
+    return {"theta": theta, "x": x_sum, "residual_weight": 1.0 - w0 / norm2,
+            "a_final": rows / np.sqrt(norm2)[:, None, None]}
 
 
 def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
@@ -475,36 +466,20 @@ def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
     noise = _wiener_increments(1, [rng], pulse)
     res = _evolve(a0[None, :, :], noise, pulse, policy,
                   keep_series=keep_series)
-    posterior_amps = dict(zip(rest_occs, res.a_final[0, 0, :]))
+    posterior_amps = dict(zip(rest_occs, res["a_final"][0, 0, :]))
     posterior = PureState(state.n_modes - 1, posterior_amps).normalized()
     record = TrajectoryRecord(
-        theta=float(res.theta[0]),
-        x=float(res.x[0]),
-        residual_weight=float(res.residual[0]),
+        theta=float(res["theta"][0]),
+        x=float(res["x"][0]),
+        residual_weight=float(res["residual_weight"][0]),
     )
     if keep_series:
         record.t = pulse.t.copy()
-        record.phases = res.phases[0]
-        record.i_dt = res.i_dt[0]
-        record.j_dt = res.j_dt[0]
+        record.phases = res["phases"][0]
+        record.i_dt = res["i_dt"][0]
+        record.j_dt = res["j_dt"][0]
         record.dw = noise[0]
     return record, posterior
-
-
-@dataclass
-class EnsembleResult:
-    """Outcome arrays for an ensemble of independent trajectories.
-
-    ``fidelity`` (when requested) compares each trajectory's posterior
-    with the analytic phase-POVM conditional state at that trajectory's
-    theta; it is None for policies or states where that comparison is
-    undefined.
-    """
-
-    theta: np.ndarray
-    x: np.ndarray
-    residual_weight: np.ndarray
-    fidelity: np.ndarray | None
 
 
 def _posterior_fidelity(a0: np.ndarray, a_final: np.ndarray,
@@ -522,37 +497,32 @@ def _posterior_fidelity(a0: np.ndarray, a_final: np.ndarray,
     return (overlap.real ** 2 + overlap.imag ** 2) / (t2 * p2)
 
 
-def _ensemble_chunk(rng_range, a0, pulse, policy, master_seed, want_fidelity):
-    start, stop = rng_range
-    noise = _wiener_increments(stop - start, trial_rngs(master_seed, start, stop),
-                               pulse)
-    res = _evolve(a0[None], noise, pulse, policy)
-    fid = None
-    if want_fidelity and a0.shape[0] >= 2:
-        fid = _posterior_fidelity(a0, res.a_final, res.theta)
-    return res.theta, res.x, res.residual, fid
+def _ensemble_chunk(bounds, a0, pulse, policy, master_seed):
+    noise = _wiener_increments(bounds[1] - bounds[0],
+                               trial_rngs(master_seed, *bounds), pulse)
+    cols = _evolve(a0[None], noise, pulse, policy)
+    a_final = cols.pop("a_final")
+    if policy.kind == "adaptive" and a0.shape[0] >= 2:
+        cols["fidelity"] = _posterior_fidelity(a0, a_final, cols["theta"])
+    return cols
 
 
 def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
                       policy: FeedbackPolicy, master_seed: int, n_trials: int,
-                      want_fidelity: bool = False, threads: int | None = None,
-                      chunk_size: int = DEFAULT_CHUNK) -> EnsembleResult:
+                      threads: int | None = None,
+                      chunk_size: int = DEFAULT_CHUNK) -> dict:
     """Run ``n_trials`` independent trajectories of the same initial state.
 
-    Trial i draws its noise from the (master_seed, i) stream; chunking
-    and reduction order are fixed, so results are bit-identical for a
-    given master seed regardless of the worker count.  Raises
+    Returns float-array columns ``theta``, ``x`` and ``residual_weight``
+    (see :func:`_finish`).  When the policy is adaptive and ``mode`` has a
+    one-photon level, a ``fidelity`` column compares each trajectory's
+    posterior with the analytic phase-POVM conditional state at its
+    theta.  Trial i draws its noise from the (master_seed, i) stream;
+    chunking and reduction order are fixed, so results are bit-identical
+    for a given master seed regardless of the worker count.  Raises
     ``OverOccupiedError`` if ``mode`` holds two or more photons.
     """
     a0, _ = _reduce_measured_mode(state, mode)
-    if want_fidelity and (policy.kind != "adaptive" or a0.shape[0] < 2):
-        want_fidelity = False
-    worker = partial(_ensemble_chunk, a0=a0, pulse=pulse, policy=policy,
-                     master_seed=master_seed, want_fidelity=want_fidelity)
-    parts = map_chunks(worker, chunk_ranges(n_trials, chunk_size), threads)
-    theta = np.concatenate([p[0] for p in parts])
-    x = np.concatenate([p[1] for p in parts])
-    residual = np.concatenate([p[2] for p in parts])
-    fid = np.concatenate([p[3] for p in parts]) if want_fidelity else None
-    return EnsembleResult(theta=theta, x=x, residual_weight=residual,
-                          fidelity=fid)
+    return run_chunked(partial(_ensemble_chunk, a0=a0, pulse=pulse,
+                               policy=policy, master_seed=master_seed),
+                       n_trials, chunk_size, threads)

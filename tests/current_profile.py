@@ -29,7 +29,7 @@ def mean_current_profile(state, mode, pulse, policy, master_seed, n_trials):
                           for i in range(start, stop)])
         noise *= math.sqrt(pulse.dt)
         tiled = np.broadcast_to(a0, (stop - start,) + a0.shape)
-        i_dt = _evolve(tiled, noise, pulse, policy, keep_series=True).i_dt
+        i_dt = _evolve(tiled, noise, pulse, policy, keep_series=True)["i_dt"]
         total += i_dt.sum(axis=0)
         total_sq += (i_dt * i_dt).sum(axis=0)
     mean_idt = total / n_trials

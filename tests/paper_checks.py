@@ -60,7 +60,7 @@ def integrated_quadrature_check(state, mode, pulse, phi, master_seed,
                                master_seed, n_trials)
     grid_x, _, cdf = homodyne_cdf(state, mode, phi)
     cdf /= cdf[-1]
-    return ks_statistic(result.x, lambda v: np.interp(v, grid_x, cdf))
+    return ks_statistic(result["x"], lambda v: np.interp(v, grid_x, cdf))
 
 
 def decompose_pair_unitary(m: np.ndarray):

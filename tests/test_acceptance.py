@@ -102,19 +102,18 @@ def test_05_trajectory_phase_statistics_match_analytic_povm():
     for phi0 in (0.0, math.pi / 3.0, math.pi):
         state = PureState(1, {(0,): RT2, (1,): RT2 * np.exp(1j * phi0)})
         res = run_dyne_ensemble(state, 0, pulse, FeedbackPolicy.adaptive(),
-                                master_seed=13, n_trials=10_000,
-                                want_fidelity=True)
+                                master_seed=13, n_trials=10_000)
 
         def cdf(th, phi0=phi0):
             return (th + np.sin(th - phi0) + math.sin(phi0)) / (2.0 * math.pi)
 
-        worst_ks = max(worst_ks, ks_statistic(res.theta, cdf))
+        worst_ks = max(worst_ks, ks_statistic(res["theta"], cdf))
     # single-mode posteriors are scalars, so their fidelity against the
     # analytic conditional is trivial; the split photon keeps a two-mode
     # posterior and makes the comparison informative
     res = run_dyne_ensemble(split_photon(), 0, pulse, FeedbackPolicy.adaptive(),
-                            master_seed=13, n_trials=2_000, want_fidelity=True)
-    fid = float(res.fidelity.mean())
+                            master_seed=13, n_trials=2_000)
+    fid = float(res["fidelity"].mean())
     ok = worst_ks < 0.03 and fid > 0.99
     report("trajectory realizes the phase POVM", ok,
            f"worst ks={worst_ks:.4f} over phi0 in (0, pi/3, pi) "
@@ -135,7 +134,7 @@ def test_06_integrated_current_reproduces_vacuum_quadrature():
         res = run_dyne_ensemble(vacuum(1), 0, pulse,
                                 FeedbackPolicy.homodyne(0.0),
                                 master_seed=17, n_trials=10_000)
-        samples[shape] = res.x
+        samples[shape] = res["x"]
     mean = float(samples["flat"].mean())
     var = float(samples["flat"].var())
     _, p = two_sample_ks(samples["flat"], samples["expdecay:4"])

@@ -348,6 +348,23 @@ def test_trajectory_heterodyne_policy(capsys):
     assert summary["config"]["policy"] == "heterodyne:40"
 
 
+def test_trajectory_delay_beyond_the_pulse_equals_a_whole_pulse(capsys,
+                                                                tmp_path):
+    # a delay of the whole pulse or more only ever feeds back the initial
+    # zero phase, so 1e300 runs like 2 and sizes no ring by the delay
+    outputs = {}
+    for delay in ("2", "1e300"):
+        jsonl = tmp_path / f"{delay}.jsonl"
+        with pytest.warns(UserWarning, match="loop delay"):
+            rc = main(["trajectory", "--state", "plus-split", "--dt", "1e-2",
+                       "--n", "3", "--delay", delay, "--jsonl", str(jsonl)])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["config"].pop("delay") == float(delay)
+        outputs[delay] = (summary, jsonl.read_bytes())
+    assert outputs["2"] == outputs["1e300"]
+
+
 # ---- JSONL records ----
 
 _JSONL_ARGV = {

@@ -77,6 +77,9 @@ def test_non_integral_occupation_rejected():
             PureState(1, form({(0,): 0.6, (0.5,): 0.8}))
         with pytest.raises(ValueError, match="non-integral"):
             PureState(2, form({(1.7, 0): 1.0}))
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="non-integral"):
+                PureState(2, form({(0, bad): 1.0}))
         # integer-valued numpy ints stay accepted, stored as Python ints
         st_ = PureState(2, form({(np.int64(1), np.int64(0)): 1.0}))
         assert [tuple(map(type, occ)) for occ in st_.amplitudes] == [(int, int)]

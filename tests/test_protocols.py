@@ -406,10 +406,9 @@ def test_preparation_measurement_statistics_match_analytic():
         split = beamsplitter(single_photon(0, 2),
                              BeamsplitterSpec(0, 1, alpha ** 2))
         res = run_dyne_ensemble(split, 0, pulse, FeedbackPolicy.adaptive(),
-                                master_seed=seed, n_trials=1000,
-                                want_fidelity=True)
-        assert ks_uniform(res.theta, 0.0, 2 * math.pi) < 0.05
-        assert res.fidelity.mean() > 0.99
+                                master_seed=seed, n_trials=1000)
+        assert ks_uniform(res["theta"], 0.0, 2 * math.pi) < 0.05
+        assert res["fidelity"].mean() > 0.99
 
 
 def test_prepare_trial_with_trajectory_backend_reaches_target():
@@ -455,13 +454,13 @@ def _batched_gate_trials(u, c0, c1, pulse, master_seed, n_trials):
 
     input_state = qubit_state(c0, c1)
     target = u @ np.array([c0, c1])
-    theta1 = res1.theta
+    theta1 = res1["theta"]
     theta2, fids, kinds = [], [], []
     phase2 = []  # (trial, state) for success branches
     for i in range(n_trials):
-        amps = dict(zip(rest_occs, res1.a_final[i, 0, :]))
+        amps = dict(zip(rest_occs, res1["a_final"][i, 0, :]))
         resource = PureState(bell.n_modes - 1, amps).normalized()
-        resource = apply_phase(resource, 0, -float(res1.theta[i]))
+        resource = apply_phase(resource, 0, -float(res1["theta"][i]))
         joint = tensor(input_state, resource)
         bsm, post = bell_measurement_single_rail(
             joint, 0, 1, _FixedUniform(rngs[i].random()))
@@ -483,10 +482,10 @@ def _batched_gate_trials(u, c0, c1, pulse, master_seed, n_trials):
             occ_sets = occs
         res2 = _evolve(np.stack(stacks), noise2, pulse, policy)
         for row, (i, st) in enumerate(phase2):
-            amps = dict(zip(occ_sets, res2.a_final[row, 0, :]))
+            amps = dict(zip(occ_sets, res2["a_final"][row, 0, :]))
             final = PureState(st.n_modes - 1, amps).normalized()
-            final = apply_phase(final, 0, -float(res2.theta[row]))
-            theta2.append(float(res2.theta[row]))
+            final = apply_phase(final, 0, -float(res2["theta"][row]))
+            theta2.append(float(res2["theta"][row]))
             fids.append(logical_target_fidelity(final, SingleRailQubit(0),
                                                 target[0], target[1]))
     return np.asarray(theta1), np.asarray(theta2), np.asarray(fids), kinds

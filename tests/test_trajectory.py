@@ -159,28 +159,41 @@ def test_large_delay_warns():
 
 def test_ensemble_is_reproducible_and_batch_invariant():
     p = make_pulse("flat", dt=2e-3)
-    kw = dict(master_seed=10, n_trials=64, want_fidelity=True)
+    kw = dict(master_seed=10, n_trials=64)
     a = run_dyne_ensemble(plus_state(), 0, p, FeedbackPolicy.adaptive(), **kw)
     b = run_dyne_ensemble(plus_state(), 0, p, FeedbackPolicy.adaptive(),
                           chunk_size=7, **kw)
     c = run_dyne_ensemble(plus_state(), 0, p, FeedbackPolicy.adaptive(),
                           threads=2, **kw)
-    assert np.array_equal(a.theta, b.theta)
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.theta, c.theta)
-    assert np.array_equal(a.fidelity, b.fidelity)
+    assert np.array_equal(a["theta"], b["theta"])
+    assert np.array_equal(a["x"], b["x"])
+    assert np.array_equal(a["theta"], c["theta"])
+    assert np.array_equal(a["fidelity"], b["fidelity"])
 
 
 def test_ensemble_is_bit_identical_across_chunk_sizes():
     # n=1100 spans two default chunks, so the 1024 layout is split unevenly
     p = make_pulse("flat", dt=1e-3)
     runs = [run_dyne_ensemble(split_photon(), 0, p, FeedbackPolicy.adaptive(),
-                              master_seed=21, n_trials=1100,
-                              want_fidelity=True, chunk_size=size)
+                              master_seed=21, n_trials=1100, chunk_size=size)
             for size in (7, 1024, 1100)]
     for res in runs[1:]:
         for field in ("theta", "x", "residual_weight", "fidelity"):
-            assert np.array_equal(getattr(res, field), getattr(runs[0], field))
+            assert np.array_equal(res[field], runs[0][field])
+
+
+@pytest.mark.parametrize("state, policy, has_fidelity", [
+    (split_photon(), FeedbackPolicy.adaptive(), True),
+    (vacuum(1), FeedbackPolicy.adaptive(), False),
+    (plus_state(), FeedbackPolicy.homodyne(0.3), False),
+], ids=["adaptive-plus-split", "adaptive-vacuum", "homodyne-plus"])
+def test_ensemble_fidelity_column_needs_adaptive_and_a_photon_level(
+        state, policy, has_fidelity):
+    p = make_pulse("flat", dt=1e-2)
+    cols = run_dyne_ensemble(state, 0, p, policy, master_seed=2, n_trials=4)
+    want = ["theta", "x", "residual_weight"] + ["fidelity"] * has_fidelity
+    assert sorted(cols) == sorted(want)
+    assert all(len(column) == 4 for column in cols.values())
 
 
 def test_single_trajectory_equals_ensemble_lane():
@@ -189,8 +202,8 @@ def test_single_trajectory_equals_ensemble_lane():
                             master_seed=3, n_trials=5)
     rec, _ = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
                            trial_rng(3, 2), keep_series=False)
-    assert rec.theta == ens.theta[2]
-    assert rec.x == ens.x[2]
+    assert rec.theta == ens["theta"][2]
+    assert rec.x == ens["x"][2]
 
 
 def _kernel_runs(a0, noise, pulse):
@@ -215,10 +228,10 @@ def test_one_lane_kernel_equals_batched_lane(seed, levels, n_rest, shape, dt):
     pulse = make_pulse(shape, dt=dt)
     noise = rng.normal(size=(3, pulse.n_steps)) * math.sqrt(dt)
     one, batch = _kernel_runs(a0, noise, pulse)
-    assert one.theta[0] == batch.theta[0]
-    assert one.x[0] == batch.x[0]
-    assert one.residual[0] == batch.residual[0]
-    assert np.array_equal(one.a_final[0], batch.a_final[0])
+    assert one["theta"][0] == batch["theta"][0]
+    assert one["x"][0] == batch["x"][0]
+    assert one["residual_weight"][0] == batch["residual_weight"][0]
+    assert np.array_equal(one["a_final"][0], batch["a_final"][0])
 
 
 def test_phase_measurement_runs_the_float_loop(monkeypatch):
@@ -260,7 +273,7 @@ def test_adaptive_theta_distribution_matches_analytic_density():
     p = make_pulse("flat", dt=1e-3)
     res = run_dyne_ensemble(state, 0, p, FeedbackPolicy.adaptive(),
                             master_seed=7, n_trials=2000)
-    assert ks_statistic(res.theta, dens.cdf) < 0.035
+    assert ks_statistic(res["theta"], dens.cdf) < 0.035
 
 
 def test_posterior_fidelity_degrades_as_dt_grows():
@@ -269,9 +282,8 @@ def test_posterior_fidelity_degrades_as_dt_grows():
     for dt in (1e-3, 1e-2):
         p = make_pulse("flat", dt=dt)
         res = run_dyne_ensemble(state, 0, p, FeedbackPolicy.adaptive(),
-                                master_seed=11, n_trials=300,
-                                want_fidelity=True)
-        fids.append(res.fidelity.mean())
+                                master_seed=11, n_trials=300)
+        fids.append(res["fidelity"].mean())
     assert fids[0] > 0.99
     assert fids[0] > fids[1]
 
@@ -280,8 +292,8 @@ def test_vacuum_quadrature_statistics():
     p = make_pulse("flat", dt=1e-3)
     res = run_dyne_ensemble(vacuum(1), 0, p, FeedbackPolicy.homodyne(0.3),
                             master_seed=12, n_trials=4000)
-    assert abs(res.x.mean()) < 4.0 / math.sqrt(4000)
-    assert abs(res.x.var() - 1.0) < 4.0 * math.sqrt(2.0 / 4000)
+    assert abs(res["x"].mean()) < 4.0 / math.sqrt(4000)
+    assert abs(res["x"].var() - 1.0) < 4.0 * math.sqrt(2.0 / 4000)
 
 
 def test_integrated_quadrature_matches_marginal_distribution():
@@ -344,14 +356,15 @@ def test_kraus_form_matches_state_form(monkeypatch, policy, rest_modes):
         with monkeypatch.context() as m:
             m.setattr(trajectory, "_KrausLanes", StateLanes)
             ref = trajectory._evolve(a0, noise, p, policy, keep_series=True)
-        dtheta = np.angle(np.exp(1j * (kraus.theta - ref.theta)))
+        dtheta = np.angle(np.exp(1j * (kraus["theta"] - ref["theta"])))
         assert np.max(np.abs(dtheta)) < 1e-12
-        for field in ("x", "residual", "a_final", "phases", "i_dt", "j_dt"):
-            got, want = getattr(kraus, field), getattr(ref, field)
+        for field in ("x", "residual_weight", "a_final", "phases", "i_dt",
+                      "j_dt"):
+            got, want = kraus[field], ref[field]
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-12, field
-        for field in ("theta", "x", "residual", "a_final"):
-            assert np.array_equal(getattr(bare, field), getattr(kraus, field))
+        for field in ("theta", "x", "residual_weight", "a_final"):
+            assert np.array_equal(bare[field], kraus[field])
 
 
 @pytest.mark.parametrize("keep_series", [False, True])
@@ -364,10 +377,10 @@ def test_shared_a0_equals_broadcast_a0(policy, keep_series):
     shared = trajectory._evolve(a0, noise, p, policy, keep_series=keep_series)
     tiled = trajectory._evolve(np.broadcast_to(a0, (6,) + a0.shape[1:]), noise,
                                p, policy, keep_series=keep_series)
-    fields = ["theta", "x", "residual", "a_final"]
+    fields = ["theta", "x", "residual_weight", "a_final"]
     fields += ["phases", "i_dt", "j_dt"] if keep_series else []
     for field in fields:
-        assert np.array_equal(getattr(shared, field), getattr(tiled, field))
+        assert np.array_equal(shared[field], tiled[field])
 
 
 def test_ensemble_chunk_noise_is_each_trials_stream(monkeypatch):
@@ -378,8 +391,7 @@ def test_ensemble_chunk_noise_is_each_trials_stream(monkeypatch):
                         lambda a0, noise, *a: seen.append(noise) or
                         evolve(a0, noise, *a))
     a0, _ = trajectory._reduce_measured_mode(split_photon(), 0)
-    trajectory._ensemble_chunk((5, 12), a0, p, FeedbackPolicy.adaptive(), 9,
-                               False)
+    trajectory._ensemble_chunk((5, 12), a0, p, FeedbackPolicy.adaptive(), 9)
     want = np.stack([trial_rng(9, i).standard_normal(p.n_steps)
                      for i in range(5, 12)]) * math.sqrt(p.dt)
     assert np.array_equal(seen[0], want)
