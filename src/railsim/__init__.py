@@ -17,8 +17,7 @@ from .protocols import (BsmOutcome, GateOutcome, PrepSpec,
                         teleport_single_to_dual, trajectory_apm)
 from .runner import trial_rng, worker_count
 from .trajectory import (FeedbackPolicy, PulseShape, TrajectoryDivergedError,
-                         TrajectoryRecord, make_pulse, run_dyne_ensemble,
-                         simulate_dyne)
+                         make_pulse, run_dyne_ensemble, simulate_dyne)
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,7 @@ __all__ = [
     "run_protocol_trial", "teleport_single_to_dual", "trajectory_apm",
     "trial_rng", "worker_count",
     "FeedbackPolicy", "PulseShape",
-    "TrajectoryDivergedError", "TrajectoryRecord",
-    "make_pulse", "run_dyne_ensemble", "simulate_dyne",
+    "TrajectoryDivergedError", "make_pulse", "run_dyne_ensemble",
+    "simulate_dyne",
     "__version__",
 ]

@@ -408,12 +408,12 @@ def cmd_trajectory(args):
         key, edges = ("theta", THETA_EDGES) if adaptive else ("x", QUAD_EDGES)
         results["histogram"] = _histogram(cols[key], edges)
         if args.full_record:
-            record, _ = simulate_dyne(state, mode, pulse, policy,
+            series, _ = simulate_dyne(state, mode, pulse, policy,
                                       trial_rng(seed, 0), keep_series=True)
-            table = np.column_stack([record.t, record.phases,
-                                     record.i_dt / pulse.dt,
-                                     record.j_dt / pulse.dt,
-                                     record.dw])
+            table = np.column_stack([pulse.t, series["phases"][0],
+                                     series["i_dt"][0] / pulse.dt,
+                                     series["j_dt"][0] / pulse.dt,
+                                     series["dw"][0]])
             np.savetxt(args.full_record, table, delimiter=",",
                        header="t,phi,i,j,dw", comments="")
         return _emit("trajectory", config, results, args)
@@ -540,13 +540,15 @@ def main(argv=None) -> int:
             sub_map[args.cmd].set_defaults(**file_cfg)
             args = parser.parse_args(argv)
         plan = HANDLERS[args.cmd](args)
-    except (ConfigError, OverOccupiedError, ValueError, OSError) as exc:
+    except (ConfigError, OverOccupiedError, ValueError, OSError,
+            MemoryError) as exc:
         print(f"railsim: {exc}", file=sys.stderr)
         return 2
     try:
         return plan()
     except (OverOccupiedError, TruncationError, TrajectoryDivergedError,
-            ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+            ValueError, ArithmeticError, RuntimeError, OSError,
+            MemoryError) as exc:
         print(f"railsim: {exc}", file=sys.stderr)
         return 3
 

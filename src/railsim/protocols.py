@@ -71,11 +71,12 @@ def trajectory_apm(state: PureState, mode: int, rng,
     # The trajectory realizes the phase POVM only on the <=1 photon
     # subspace; enforce the same precondition as the analytic path.
     dens = apm_density(state, mode)
-    record, posterior = simulate_dyne(state, mode, pulse,
-                                      FeedbackPolicy.adaptive(), rng,
-                                      keep_series=False)
-    return MeasurementOutcome(value=record.theta, posterior=posterior,
-                              density=float(dens(record.theta)))
+    cols, posterior = simulate_dyne(state, mode, pulse,
+                                    FeedbackPolicy.adaptive(), rng,
+                                    keep_series=False)
+    theta = float(cols["theta"][0])
+    return MeasurementOutcome(value=theta, posterior=posterior,
+                              density=float(dens(theta)))
 
 
 def prepare_arbitrary(spec: PrepSpec, apm, rng) -> PureState:

@@ -71,8 +71,7 @@ class PulseShape:
 
     ``t`` holds start-of-step times t_k; ``cum_end`` the cumulative
     integral U at the end of step k; ``decay`` the rate gamma_k built
-    from the start-of-step U.  ``coverage`` is the envelope weight the
-    retained grid accounts for (1 minus the truncated tail).
+    from the start-of-step U.
     """
 
     kind: str
@@ -81,7 +80,6 @@ class PulseShape:
     envelope: np.ndarray
     cum_end: np.ndarray
     decay: np.ndarray
-    coverage: float
 
     @property
     def n_steps(self) -> int:
@@ -152,7 +150,7 @@ def make_pulse(shape: str, dt: float = 1e-4) -> PulseShape:
     if not np.all(np.isfinite(decay)) or np.any(decay * dt >= 1.0):
         raise ValueError("decay rate out of the stable range; reduce dt")
     return PulseShape(kind=kind, dt=dt, t=t, envelope=u, cum_end=cum_end,
-                      decay=decay, coverage=float(cum_end[-1]))
+                      decay=decay)
 
 
 @dataclass(frozen=True)
@@ -172,6 +170,10 @@ class FeedbackPolicy:
     def __post_init__(self):
         if self.kind not in ("adaptive", "homodyne", "heterodyne"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        for name in ("phi0", "ramp", "loop_delay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.loop_delay < 0:
             raise ValueError("loop_delay must be non-negative")
 
@@ -186,27 +188,6 @@ class FeedbackPolicy:
     @classmethod
     def heterodyne(cls, ramp: float, phi0: float = 0.0) -> "FeedbackPolicy":
         return cls(kind="heterodyne", phi0=phi0, ramp=ramp)
-
-
-@dataclass
-class TrajectoryRecord:
-    """One simulated trajectory.
-
-    ``theta`` is the adaptive phase estimate (defined for any policy as
-    the same functional of the current), ``x`` the integrated current,
-    and ``residual_weight`` the measured-mode excitation discarded when
-    the truncated tail is projected onto vacuum.  The time series are
-    populated only when the simulation is asked to keep them.
-    """
-
-    theta: float
-    x: float
-    residual_weight: float
-    t: np.ndarray | None = None
-    phases: np.ndarray | None = None
-    i_dt: np.ndarray | None = None
-    j_dt: np.ndarray | None = None
-    dw: np.ndarray | None = None
 
 
 def _reduce_measured_mode(state: PureState, mode: int):
@@ -303,6 +284,22 @@ class _KrausLanes:
         return rows[:, :self.levels]
 
 
+def _warn_on_long_loop_delay(policy: FeedbackPolicy, pulse: PulseShape) -> None:
+    """Warn when an adaptive loop delay exceeds ``DELAY_WARN_FRACTION`` of
+    the pulse; called where a run starts, never in a chunk worker.
+
+    The warning names the package, not a source line, so its text is the
+    same from any checkout; this module's registry keeps the default
+    filter's show-once.
+    """
+    if (policy.kind == "adaptive"
+            and policy.loop_delay > DELAY_WARN_FRACTION * (pulse.t[-1] + pulse.dt)):
+        warnings.warn_explicit(
+            "adaptive loop delay is not small compared to the pulse; "
+            "the phase estimate will degrade", UserWarning, "railsim", 0,
+            registry=globals().setdefault("__warningregistry__", {}))
+
+
 def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
             policy: FeedbackPolicy, keep_series: bool = False) -> dict:
     """Run the per-step update for a batch of trajectories; returns columns.
@@ -328,10 +325,6 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
     dt = pulse.dt
     adaptive = policy.kind == "adaptive"
     lag = round(min(policy.loop_delay / dt, n_steps))
-    if adaptive and policy.loop_delay > DELAY_WARN_FRACTION * (pulse.t[-1] + dt):
-        warnings.warn(
-            "adaptive loop delay is not small compared to the pulse; "
-            "the phase estimate will degrade", stacklevel=2)
 
     # J dt = drive * proj / norm2 + dW
     drive, sqrt_u, inv_sqrt_cum = pulse.kernel_tables[:3]
@@ -456,30 +449,26 @@ def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
                   keep_series: bool = True):
     """Simulate one dyne trajectory on ``mode``.
 
-    Returns (TrajectoryRecord, posterior): the posterior is the
+    Returns (columns, posterior).  The columns are those of
+    :func:`run_dyne_ensemble` for one lane, each with its lane axis:
+    ``theta``, ``x`` and ``residual_weight``, shape (1,), plus under
+    ``keep_series`` the per-step ``phases``, ``i_dt``, ``j_dt`` and the
+    Wiener increments ``dw``, shape (1, n_steps).  The posterior is the
     normalized state of the remaining modes after the measured mode's
     truncated-tail excitation is projected onto vacuum (the discarded
-    weight is reported on the record).  Raises ``OverOccupiedError`` if
+    weight is ``residual_weight``).  Raises ``OverOccupiedError`` if
     ``mode`` holds two or more photons.
     """
     a0, rest_occs = _reduce_measured_mode(state, mode)
+    _warn_on_long_loop_delay(policy, pulse)
     noise = _wiener_increments(1, [rng], pulse)
-    res = _evolve(a0[None, :, :], noise, pulse, policy,
-                  keep_series=keep_series)
-    posterior_amps = dict(zip(rest_occs, res["a_final"][0, 0, :]))
+    cols = _evolve(a0[None, :, :], noise, pulse, policy,
+                   keep_series=keep_series)
+    posterior_amps = dict(zip(rest_occs, cols.pop("a_final")[0, 0, :]))
     posterior = PureState(state.n_modes - 1, posterior_amps).normalized()
-    record = TrajectoryRecord(
-        theta=float(res["theta"][0]),
-        x=float(res["x"][0]),
-        residual_weight=float(res["residual_weight"][0]),
-    )
     if keep_series:
-        record.t = pulse.t.copy()
-        record.phases = res["phases"][0]
-        record.i_dt = res["i_dt"][0]
-        record.j_dt = res["j_dt"][0]
-        record.dw = noise[0]
-    return record, posterior
+        cols["dw"] = noise
+    return cols, posterior
 
 
 def _posterior_fidelity(a0: np.ndarray, a_final: np.ndarray,
@@ -523,6 +512,7 @@ def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
     ``OverOccupiedError`` if ``mode`` holds two or more photons.
     """
     a0, _ = _reduce_measured_mode(state, mode)
+    _warn_on_long_loop_delay(policy, pulse)
     return run_chunked(partial(_ensemble_chunk, a0=a0, pulse=pulse,
                                policy=policy, master_seed=master_seed),
                        n_trials, chunk_size, threads)

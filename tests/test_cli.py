@@ -365,6 +365,36 @@ def test_trajectory_delay_beyond_the_pulse_equals_a_whole_pulse(capsys,
     assert outputs["2"] == outputs["1e300"]
 
 
+def test_loop_delay_warning_prints_once_whatever_the_worker_count(tmp_path):
+    # the check runs in the calling process, not in each chunk worker, and
+    # names no source file; n=3000 is three chunks, so --threads 2 forks
+    argv = [sys.executable, "-m", "railsim.cli", "trajectory", "--state",
+            "plus-split", "--dt", "1e-2", "--delay", "2", "--n", "3000"]
+    errs = []
+    for threads in (1, 2):
+        proc = subprocess.run(argv + ["--threads", str(threads)],
+                              capture_output=True, env=_child_env(),
+                              cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert errs[0].count(b"loop delay") == 1
+    assert b".py" not in errs[0]
+
+
+def test_memory_error_exits_with_a_message(capsys, monkeypatch):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 76.3 GiB")
+
+    argv = ["trajectory", "--dt", "1e-2", "--n", "4"]
+    monkeypatch.setattr(railsim.trajectory, "_wiener_increments", too_large)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "railsim: Unable to allocate 76.3 GiB\n"
+    monkeypatch.setattr(cli, "make_pulse", too_large)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "railsim: Unable to allocate 76.3 GiB\n"
+
+
 # ---- JSONL records ----
 
 _JSONL_ARGV = {

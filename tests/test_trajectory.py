@@ -61,8 +61,7 @@ def test_pulse_normalization_and_retention():
     for shape in ("flat", "raised-cosine", "expdecay:4", "expdecay:1.5"):
         for dt in (1e-3, 2e-4):
             p = make_pulse(shape, dt=dt)
-            # full-grid weight reaches 1; retained steps keep gamma*dt < 1
-            assert abs(p.coverage - 1.0) <= 1e-9 or p.coverage < 1.0
+            # retained steps stop short of U = 1 and keep gamma*dt < 1
             assert p.cum_end[-1] <= 1.0 - 1e-6 + 1e-12
             assert np.all(p.decay * dt < 1.0)
             assert np.all(np.isfinite(p.decay))
@@ -83,38 +82,39 @@ def test_unknown_pulse_shape_rejected():
 def test_record_identities_tie_series_together():
     rng = np.random.default_rng(42)
     p = make_pulse("flat", dt=1e-3)
-    rec, post = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
-                              rng)
-    assert np.isclose(rec.x, np.sum(rec.i_dt), atol=1e-10)
-    s = np.cumsum(rec.i_dt / np.sqrt(p.cum_end))
-    assert np.isclose(rec.theta, (s[-1] - math.pi / 2.0) % (2 * math.pi),
+    cols, post = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
+                               rng)
+    i_dt, phases = cols["i_dt"][0], cols["phases"][0]
+    assert np.isclose(cols["x"][0], np.sum(i_dt), atol=1e-10)
+    s = np.cumsum(i_dt / np.sqrt(p.cum_end))
+    assert np.isclose(cols["theta"][0], (s[-1] - math.pi / 2.0) % (2 * math.pi),
                       atol=1e-10)
     # zero-delay feedback: phase at step k is the running integral
     # through step k-1
-    assert rec.phases[0] == 0.0
-    assert np.allclose(rec.phases[1:], s[:-1], atol=1e-10)
+    assert phases[0] == 0.0
+    assert np.allclose(phases[1:], s[:-1], atol=1e-10)
     # reweighted current: i_dt = sqrt(u) * j_dt
-    assert np.allclose(rec.i_dt, np.sqrt(p.envelope) * rec.j_dt, atol=1e-12)
+    assert np.allclose(i_dt, np.sqrt(p.envelope) * cols["j_dt"][0], atol=1e-12)
 
 
 def test_posterior_is_normalized_and_drops_measured_mode():
     rng = np.random.default_rng(1)
     p = make_pulse("flat", dt=1e-3)
-    rec, post = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
-                              rng)
+    cols, post = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
+                               rng)
     assert post.n_modes == 1
     assert np.isclose(post.norm(), 1.0, atol=1e-12)
-    assert rec.residual_weight < 5e-3
+    assert cols["residual_weight"][0] < 5e-3
 
 
 def test_trajectory_posterior_matches_phase_povm_conditional():
     p = make_pulse("flat", dt=1e-4)
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        rec, post = simulate_dyne(split_photon(), 0, p,
-                                  FeedbackPolicy.adaptive(), rng,
-                                  keep_series=False)
-        target = PureState(1, {(0,): np.exp(-1j * rec.theta),
+        cols, post = simulate_dyne(split_photon(), 0, p,
+                                   FeedbackPolicy.adaptive(), rng,
+                                   keep_series=False)
+        target = PureState(1, {(0,): np.exp(-1j * cols["theta"][0]),
                                (1,): 1.0}).normalized()
         assert fidelity(post, target) > 0.999
 
@@ -122,29 +122,38 @@ def test_trajectory_posterior_matches_phase_povm_conditional():
 def test_homodyne_policy_keeps_phase_fixed():
     rng = np.random.default_rng(2)
     p = make_pulse("flat", dt=1e-3)
-    rec, _ = simulate_dyne(plus_state(), 0, p, FeedbackPolicy.homodyne(0.8),
-                           rng)
-    assert np.all(rec.phases == 0.8)
+    cols, _ = simulate_dyne(plus_state(), 0, p, FeedbackPolicy.homodyne(0.8),
+                            rng)
+    assert np.all(cols["phases"] == 0.8)
 
 
 def test_heterodyne_policy_ramps_phase_linearly():
     rng = np.random.default_rng(3)
     p = make_pulse("flat", dt=1e-3)
-    rec, _ = simulate_dyne(plus_state(), 0, p,
-                           FeedbackPolicy.heterodyne(50.0, phi0=0.2), rng)
-    assert np.allclose(rec.phases, 0.2 + 50.0 * p.t, atol=1e-12)
-    assert np.isfinite(rec.x)
+    cols, _ = simulate_dyne(plus_state(), 0, p,
+                            FeedbackPolicy.heterodyne(50.0, phi0=0.2), rng)
+    assert np.allclose(cols["phases"][0], 0.2 + 50.0 * p.t, atol=1e-12)
+    assert np.isfinite(cols["x"][0])
 
 
 def test_feedback_delay_shifts_the_applied_phase():
     rng = np.random.default_rng(4)
     p = make_pulse("flat", dt=1e-3)
     lag = 3
-    rec, _ = simulate_dyne(plus_state(), 0, p,
-                           FeedbackPolicy.adaptive(loop_delay=lag * p.dt), rng)
-    s = np.cumsum(rec.i_dt / np.sqrt(p.cum_end))
-    assert np.all(rec.phases[: lag + 1] == 0.0)
-    assert np.allclose(rec.phases[lag + 1:], s[: -(lag + 1)], atol=1e-10)
+    cols, _ = simulate_dyne(plus_state(), 0, p,
+                            FeedbackPolicy.adaptive(loop_delay=lag * p.dt), rng)
+    s = np.cumsum(cols["i_dt"][0] / np.sqrt(p.cum_end))
+    phases = cols["phases"][0]
+    assert np.all(phases[: lag + 1] == 0.0)
+    assert np.allclose(phases[lag + 1:], s[: -(lag + 1)], atol=1e-10)
+
+
+@pytest.mark.parametrize("field", ["loop_delay", "phi0", "ramp"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_policy_rejects_non_finite_fields(field, value):
+    kind = "adaptive" if field == "loop_delay" else "heterodyne"
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        FeedbackPolicy(kind, **{field: value})
 
 
 def test_large_delay_warns():
@@ -200,10 +209,19 @@ def test_single_trajectory_equals_ensemble_lane():
     p = make_pulse("flat", dt=1e-3)
     ens = run_dyne_ensemble(split_photon(), 0, p, FeedbackPolicy.adaptive(),
                             master_seed=3, n_trials=5)
-    rec, _ = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
-                           trial_rng(3, 2), keep_series=False)
-    assert rec.theta == ens["theta"][2]
-    assert rec.x == ens["x"][2]
+    # one schema: the ensemble's kernel columns, each with its lane axis,
+    # and under keep_series the per-step series
+    shared = set(ens) - {"fidelity"}
+    series = {"phases", "i_dt", "j_dt", "dw"}
+    for keep_series in (False, True):
+        cols, _ = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
+                                trial_rng(3, 2), keep_series=keep_series)
+        assert set(cols) == shared | (series if keep_series else set())
+        for key in shared:
+            assert cols[key].shape == (1,)
+            assert cols[key][0] == ens[key][2], key
+        for key in series & set(cols):
+            assert cols[key].shape == (1, p.n_steps)
 
 
 def _kernel_runs(a0, noise, pulse):
@@ -240,13 +258,13 @@ def test_phase_measurement_runs_the_float_loop(monkeypatch):
     monkeypatch.setattr(trajectory, "_one_kraus_lane",
                         lambda *a: calls.append(1) or loop(*a))
     p = make_pulse("flat", dt=1e-2)
-    rec, _ = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
-                           np.random.default_rng(4), keep_series=False)
+    simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
+                  np.random.default_rng(4), keep_series=False)
     assert calls == [1]
     # simulate_dyne's noise is standard_normal(n_steps) * sqrt(dt)
-    rec, _ = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
-                           np.random.default_rng(4))
-    assert np.array_equal(rec.dw, np.random.default_rng(4).standard_normal(
+    cols, _ = simulate_dyne(split_photon(), 0, p, FeedbackPolicy.adaptive(),
+                            np.random.default_rng(4))
+    assert np.array_equal(cols["dw"][0], np.random.default_rng(4).standard_normal(
         p.n_steps) * math.sqrt(p.dt))
     assert calls == [1]  # keep_series runs the array loop
 
@@ -318,8 +336,8 @@ def test_two_photon_input_diverges_loudly_or_is_rejected(monkeypatch):
                               **extra)
     # the full-array oracle runs it and stays finite
     monkeypatch.setattr(trajectory, "_KrausLanes", StateLanes)
-    rec, post = simulate_dyne(two, 0, p, policy, np.random.default_rng(14))
-    assert np.isfinite(rec.x)
+    cols, post = simulate_dyne(two, 0, p, policy, np.random.default_rng(14))
+    assert np.isfinite(cols["x"][0])
     assert post.n_modes == 0
 
 
