@@ -7,8 +7,8 @@ from .optics import (HADAMARD, IDENTITY, PAULI_X, PAULI_Z, BeamsplitterSpec,
                      DualRailQubit, SingleRailQubit, beamsplitter,
                      dual_rail_bell, dual_rail_unitary, single_rail_bell,
                      two_mode_unitary)
-from .povm import (ApmDensity, MeasurementOutcome, QuadratureGrid,
-                   apm_density, apm_sample, homodyne_cdf, homodyne_density,
+from .povm import (ApmDensity, MeasurementOutcome, QuadratureDensity,
+                   QuadratureGrid, apm_density, apm_sample, homodyne_density,
                    homodyne_sample, make_grid, photon_count)
 from .protocols import (BsmOutcome, GateOutcome, PrepSpec,
                         apply_single_rail_unitary, bell_measurement_single_rail,
@@ -28,8 +28,8 @@ __all__ = [
     "DualRailQubit", "SingleRailQubit", "beamsplitter",
     "dual_rail_bell", "dual_rail_unitary",
     "single_rail_bell", "two_mode_unitary",
-    "ApmDensity", "MeasurementOutcome", "QuadratureGrid",
-    "apm_density", "apm_sample", "homodyne_cdf", "homodyne_density",
+    "ApmDensity", "MeasurementOutcome", "QuadratureDensity", "QuadratureGrid",
+    "apm_density", "apm_sample", "homodyne_density",
     "homodyne_sample", "make_grid", "photon_count",
     "BsmOutcome", "GateOutcome", "PrepSpec", "apply_single_rail_unitary",
     "bell_measurement_single_rail", "dual_to_single",

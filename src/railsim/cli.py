@@ -30,8 +30,7 @@ from .fock import (OverOccupiedError, PureState, TruncationError,
 from .optics import (BeamsplitterSpec, HADAMARD, IDENTITY, PAULI_X, PAULI_Z,
                      beamsplitter, check_unitary, dual_rail_bell,
                      single_rail_bell)
-from .povm import (apm_density, apm_sample, homodyne_cdf, homodyne_invert,
-                   photon_count)
+from .povm import apm_density, apm_sample, homodyne_density, photon_count
 from .protocols import PrepSpec, run_protocol_trial, trajectory_apm
 from .runner import run_chunked, trial_rng, trial_rngs, worker_count
 from .stats import chi2_gof_pvalue, ks_statistic
@@ -190,16 +189,10 @@ def _moments(values) -> dict:
 # bools do not encode as JSON).  Module level so the fork pool can
 # pickle them.
 
-def _apm_chunk(bounds, state, mode, seed):
-    outs = (apm_sample(state, mode, rng) for rng in trial_rngs(seed, *bounds))
-    theta, density = np.array([(o.value, o.density) for o in outs]).T
-    return {"theta": theta, "density": density}
-
-
-def _homodyne_chunk(bounds, xs, pdf, cdf, seed):
-    x, density = np.array([homodyne_invert(xs, pdf, cdf, rng.random())
-                           for rng in trial_rngs(seed, *bounds)]).T
-    return {"x": x, "density": density}
+def _draw_chunk(bounds, density, key, seed):
+    value, p = np.array([density.draw(rng)
+                         for rng in trial_rngs(seed, *bounds)]).T
+    return {key: value, "density": p}
 
 
 def _count_chunk(bounds, state, modes, seed):
@@ -263,60 +256,43 @@ def cmd_sample(args):
         raise ConfigError(f"mode {mode} out of range for state {state_name!r}")
     config.update({"mode": mode, "backend": backend})
 
+    # apm and homodyne differ only in the density, its column and
+    # histogram, the dyne policy, and homodyne's chi-squared test.
     if kind == "apm":
-        dens = apm_density(state, mode)
-        if backend == "trajectory":
-            pulse = _trajectory_pulse(args, config)
-            policy = FeedbackPolicy.adaptive(loop_delay=float(args.delay))
-            config["delay"] = policy.loop_delay
-
-        def run_apm():
-            if backend == "analytic":
-                cols = run_chunked(partial(_apm_chunk, state=state, mode=mode,
-                                           seed=seed), n, SAMPLE_CHUNK, threads)
-            else:
-                theta = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
-                                          threads=threads)["theta"]
-                cols = {"theta": theta, "density": dens(theta)}
-            _write_jsonl(args.jsonl, {"trial": range(n), **cols})
-            thetas = cols["theta"]
-            results = {"n_trials": n,
-                       "ks_theta": float(ks_statistic(thetas, dens.cdf)),
-                       "histogram": _histogram(thetas, THETA_EDGES)}
-            results.update(_moments(thetas))
-            return _emit("sample-apm", config, results, args)
-
-        return run_apm
-
-    # homodyne
-    phi = float(args.phi)
-    xs, pdf, cdf = homodyne_cdf(state, mode, phi)
-    config["phi"] = phi
+        density = apm_density(state, mode)
+        key, edges = "theta", THETA_EDGES
+    else:
+        phi = float(args.phi)
+        config["phi"] = phi
+        density = homodyne_density(state, mode, phi)
+        key, edges = "x", QUAD_EDGES
     if backend == "trajectory":
         pulse = _trajectory_pulse(args, config)
-        policy = FeedbackPolicy.homodyne(phi)
-
-    def run_homodyne():
-        if backend == "analytic":
-            cols = run_chunked(partial(_homodyne_chunk, xs=xs, pdf=pdf,
-                                       cdf=cdf, seed=seed),
-                               n, SAMPLE_CHUNK, threads)
+        if kind == "apm":
+            policy = FeedbackPolicy.adaptive(loop_delay=float(args.delay))
+            config["delay"] = policy.loop_delay
         else:
-            x = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
-                                  threads=threads)["x"]
-            cols = {"x": x, "density": np.interp(x, xs, pdf)}
-        _write_jsonl(args.jsonl, {"trial": range(n), **cols})
-        values = cols["x"]
-        results = {"n_trials": n,
-                   "ks_x": float(ks_statistic(
-                       values, lambda v: np.interp(v, xs, cdf) / cdf[-1])),
-                   "histogram": _histogram(values, QUAD_EDGES)}
-        if n >= 400:
-            results["chi2_p"] = float(chi2_gof_pvalue(values, xs, pdf))
-        results.update(_moments(values))
-        return _emit("sample-homodyne", config, results, args)
+            policy = FeedbackPolicy.homodyne(phi)
 
-    return run_homodyne
+    def run():
+        if backend == "analytic":
+            cols = run_chunked(partial(_draw_chunk, density=density, key=key,
+                                       seed=seed), n, SAMPLE_CHUNK, threads)
+        else:
+            values = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
+                                       threads=threads)[key]
+            cols = {key: values, "density": density(values)}
+        _write_jsonl(args.jsonl, {"trial": range(n), **cols})
+        values = cols[key]
+        results = {"n_trials": n,
+                   f"ks_{key}": float(ks_statistic(values, density.cdf)),
+                   "histogram": _histogram(values, edges)}
+        if kind == "homodyne" and n >= 400:
+            results["chi2_p"] = float(chi2_gof_pvalue(values, density.quantile))
+        results.update(_moments(values))
+        return _emit(f"sample-{kind}", config, results, args)
+
+    return run
 
 
 def _protocol_apm(args, config):

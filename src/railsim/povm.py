@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .fock import (APM_OCCUPATION_TOL, N_MAX, OverOccupiedError, PureState,
                    project_mode)
-from .stats import trapezoid_cdf
 
 GRID_X_MIN = -8.0
 GRID_X_MAX = 8.0
@@ -140,12 +139,49 @@ def photon_count(state: PureState, modes, rng: np.random.Generator) -> Measureme
                               density=probs[counts])
 
 
-def homodyne_density(state: PureState, mode: int, phi: float = 0.0):
-    """Tabulated marginal density of the quadrature X_phi of one mode.
+@dataclass
+class QuadratureDensity:
+    """Marginal density of the quadrature X_phi of one mode, tabulated.
 
-    Returns (x, pdf) on the grid; the input state is normalized
-    internally.
+    ``pdf`` holds the density on the grid ``x`` and ``cum`` its
+    trapezoid integral from the grid's left end, so ``cum[-1]`` is the
+    total weight (1 up to grid truncation).  Between grid points every
+    method interpolates linearly.
     """
+
+    x: np.ndarray
+    pdf: np.ndarray
+    cum: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        dx = float(self.x[1] - self.x[0])
+        self.cum = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (self.pdf[1:] + self.pdf[:-1]) * dx)))
+
+    def __call__(self, v) -> np.ndarray:
+        return np.interp(v, self.x, self.pdf)
+
+    def cdf(self, v) -> np.ndarray:
+        return np.interp(v, self.x, self.cum) / self.cum[-1]
+
+    def quantile(self, q) -> np.ndarray:
+        """Inverse of :meth:`cdf`, taken on the strictly increasing
+        section of the table so that it is well defined."""
+        cdf = self.cum / self.cum[-1]
+        keep = np.concatenate(([True], np.diff(cdf) > 0))
+        return np.interp(q, cdf[keep], self.x[keep])
+
+    def draw(self, rng: np.random.Generator) -> tuple:
+        """One outcome (x, density at x) by inverse-CDF lookup of one
+        uniform draw."""
+        x = float(np.interp(rng.random() * self.cum[-1], self.cum, self.x))
+        return x, float(np.interp(x, self.x, self.pdf))
+
+
+def homodyne_density(state: PureState, mode: int,
+                     phi: float = 0.0) -> QuadratureDensity:
+    """Density of the quadrature X_phi of one mode on the fixed grid;
+    the input state is normalized internally."""
     if not 0 <= mode < state.n_modes:
         raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
     grid = make_grid(N_MAX)
@@ -155,40 +191,17 @@ def homodyne_density(state: PureState, mode: int, phi: float = 0.0):
     for rest in sorted(groups):
         wave = (groups[rest] * phases) @ grid.psi
         density += np.abs(wave) ** 2
-    return grid.x, density / state.norm_sq()
-
-
-def homodyne_cdf(state: PureState, mode: int, phi: float = 0.0):
-    """Tabulated (x, pdf, cdf) of the quadrature X_phi of one mode.
-
-    The cdf is the trapezoid integral of the pdf; its last entry is the
-    total weight (1 up to grid truncation).  :func:`homodyne_invert`
-    inverts it.
-    """
-    grid_x, density = homodyne_density(state, mode, phi)
-    return grid_x, density, trapezoid_cdf(density, float(grid_x[1] - grid_x[0]))
-
-
-def homodyne_invert(grid_x, density, cdf, u: float) -> tuple:
-    """Inverse-CDF draw from a tabulated quadrature density.
-
-    Maps the uniform ``u`` in [0, 1) to x by linear interpolation of the
-    cdf from :func:`homodyne_cdf`; returns (x, pdf interpolated at x).
-    """
-    x = float(np.interp(u * cdf[-1], cdf, grid_x))
-    return x, float(np.interp(x, grid_x, density))
+    return QuadratureDensity(grid.x, density / state.norm_sq())
 
 
 def homodyne_sample(state: PureState, mode: int, phi: float,
                     rng: np.random.Generator) -> MeasurementOutcome:
-    """Sample the quadrature X_phi of one mode by inverse-CDF lookup.
+    """Sample the quadrature X_phi of one mode from its density.
 
-    The marginal density is tabulated on the grid, integrated with the
-    trapezoid rule, and inverted by linear interpolation.  The posterior
-    follows by projecting the mode onto the bra with coefficients
-    psi_n(x) e^{-i n phi}.
+    The posterior follows by projecting the mode onto the bra with
+    coefficients psi_n(x) e^{-i n phi}.
     """
-    x_val, p_val = homodyne_invert(*homodyne_cdf(state, mode, phi), rng.random())
+    x_val, p_val = homodyne_density(state, mode, phi).draw(rng)
     bra = quad_psi(N_MAX, x_val) * np.exp(-1j * phi * np.arange(N_MAX + 1))
     _, posterior = project_mode(state, mode, bra)
     return MeasurementOutcome(value=x_val, posterior=posterior,
@@ -218,6 +231,18 @@ class ApmDensity:
     @property
     def max_density(self) -> float:
         return (1.0 + 2.0 * abs(self.z)) / (2.0 * math.pi)
+
+    def draw(self, rng: np.random.Generator) -> tuple:
+        """One outcome (theta, density at theta) by rejection against
+        the flat envelope ``max_density``; acceptance is at least 1/2
+        per iteration (|z| <= 1/2)."""
+        bound = self.max_density
+        z = complex(self.z)
+        while True:
+            theta = rng.random() * 2.0 * math.pi
+            p = _apm_pdf(z, theta)
+            if rng.random() * bound <= p:
+                return theta, p
 
 
 def _apm_pdf(z: complex, theta: float) -> float:
@@ -256,19 +281,8 @@ def apm_density(state: PureState, mode: int) -> ApmDensity:
 
 
 def apm_sample(state: PureState, mode: int, rng: np.random.Generator) -> MeasurementOutcome:
-    """Sample the APM by rejection against a flat envelope.
-
-    The envelope is the density maximum, so acceptance is at least
-    1/2 per iteration (|z| <= 1/2).
-    """
-    dens = apm_density(state, mode)
-    bound = dens.max_density
-    z = complex(dens.z)
-    while True:
-        theta = rng.random() * 2.0 * math.pi
-        p = _apm_pdf(z, theta)
-        if rng.random() * bound <= p:
-            break
-    bra = (1.0, cmath.exp(-1j * theta))
-    _, posterior = project_mode(state, mode, bra)
+    """Sample the APM from its density; the posterior projects the mode
+    onto the phase eigenbra <theta|."""
+    theta, p = apm_density(state, mode).draw(rng)
+    _, posterior = project_mode(state, mode, (1.0, cmath.exp(-1j * theta)))
     return MeasurementOutcome(value=theta, posterior=posterior, density=p)

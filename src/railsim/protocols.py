@@ -221,8 +221,9 @@ def qubit_state(c0: complex, c1: complex) -> PureState:
     return PureState(1, {(0,): c0, (1,): c1}).normalized()
 
 
-# The states that every trial of a run starts from are built once per
-# process and shared: no operation writes a state it is given.
+# The states that every trial of a run starts from or is compared with
+# are built once per process and shared: no operation writes a state it
+# is given.
 _bell_pair = lru_cache(maxsize=1)(dual_rail_bell)
 _input_state = lru_cache(maxsize=16)(qubit_state)
 _prep_target = lru_cache(maxsize=16)(PrepSpec.target)
@@ -230,22 +231,34 @@ _split_photon = lru_cache(maxsize=16)(lambda alpha: beamsplitter(
     single_photon(0, 2), BeamsplitterSpec(0, 1, alpha * alpha)))
 
 
-def logical_target_fidelity(state: PureState, qubit, c0: complex, c1: complex) -> float:
-    """Fidelity of ``state`` with the target qubit embedded in vacuum.
-
-    Builds c0 |0>_L + c1 |1>_L on the handle's mode(s), vacuum
-    elsewhere, so weight outside the logical subspace counts against
-    the fidelity.
-    """
-    occ0 = [0] * state.n_modes
-    occ1 = [0] * state.n_modes
+@lru_cache(maxsize=16)
+def _logical_target(n_modes: int, qubit, c0: complex, c1: complex) -> PureState:
+    """c0 |0>_L + c1 |1>_L on the handle's mode(s), vacuum elsewhere."""
+    occ0 = [0] * n_modes
+    occ1 = [0] * n_modes
     if isinstance(qubit, SingleRailQubit):
         occ1[qubit.mode] = 1
     else:
         occ0[qubit.rail1] = 1
         occ1[qubit.rail0] = 1
-    target = PureState(state.n_modes, {tuple(occ0): c0, tuple(occ1): c1})
-    return fidelity(state, target)
+    return PureState(n_modes, {tuple(occ0): c0, tuple(occ1): c1})
+
+
+@lru_cache(maxsize=16)
+def _gate_target(c0: complex, c1: complex, u_rows: tuple) -> tuple:
+    """Logical amplitudes u (c0, c1); the unitary comes as a tuple of
+    rows so that it can key the cache."""
+    return tuple(np.array(u_rows) @ np.array([c0, c1]))
+
+
+def logical_target_fidelity(state: PureState, qubit, c0: complex, c1: complex) -> float:
+    """Fidelity of ``state`` with the target qubit embedded in vacuum.
+
+    The target is c0 |0>_L + c1 |1>_L on the handle's mode(s), vacuum
+    elsewhere, so weight outside the logical subspace counts against
+    the fidelity.
+    """
+    return fidelity(state, _logical_target(state.n_modes, qubit, c0, c1))
 
 
 def run_protocol_trial(protocol: str, apm, master_seed: int,
@@ -289,7 +302,8 @@ def run_protocol_trial(protocol: str, apm, master_seed: int,
         else:
             out = apply_single_rail_unitary(state, SingleRailQubit(0), u,
                                             recorded_apm, rng)
-            t0, t1 = u @ np.array([c0, c1])
+            rows = tuple(map(tuple, np.asarray(u).tolist()))
+            t0, t1 = _gate_target(c0, c1, rows)
         record["success"] = bool(out.success)
         record["counts"] = [int(c) for c in out.bsm.counts] if out.bsm else None
         record["collapsed"] = out.collapsed_logical

@@ -10,14 +10,6 @@ import math
 import numpy as np
 
 
-def trapezoid_cdf(pdf, dx: float) -> np.ndarray:
-    """Trapezoid integral of a density tabulated on a uniform grid.
-
-    Starts at 0; the last entry is the total weight.
-    """
-    return np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))
-
-
 def ks_statistic(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov distance against a CDF callable."""
     x = np.sort(np.asarray(samples, dtype=float))
@@ -59,20 +51,15 @@ def chi2_sf(x: float, k: int) -> float:
     return total
 
 
-def chi2_gof_pvalue(samples, grid_x, pdf, n_bins: int = 40) -> float:
-    """Chi-squared goodness-of-fit p-value against a tabulated density.
+def chi2_gof_pvalue(samples, quantile, n_bins: int = 40) -> float:
+    """Chi-squared goodness-of-fit p-value against the law with the
+    given quantile function (inverse CDF).
 
-    Bins are equal-probability intervals built from the tabulated CDF,
-    so every bin has the same expected count.
+    Bins are the equal-probability intervals between
+    ``quantile(i / n_bins)``, so every bin has the same expected count.
     """
     samples = np.asarray(samples, dtype=float)
-    grid_x = np.asarray(grid_x, dtype=float)
-    pdf = np.asarray(pdf, dtype=float)
-    cdf = trapezoid_cdf(pdf, grid_x[1] - grid_x[0])
-    cdf /= cdf[-1]
-    # Strictly increasing section only, so the inverse is well defined.
-    keep = np.concatenate(([True], np.diff(cdf) > 0))
-    edges = np.interp(np.linspace(0.0, 1.0, n_bins + 1), cdf[keep], grid_x[keep])
+    edges = quantile(np.linspace(0.0, 1.0, n_bins + 1))
     counts, _ = np.histogram(samples, bins=edges)
     expected = len(samples) / n_bins
     if expected < 5:

@@ -13,7 +13,7 @@ import numpy as np
 
 from railsim.fock import single_photon
 from railsim.optics import BeamsplitterSpec, beamsplitter, check_unitary
-from railsim.povm import homodyne_cdf, homodyne_sample
+from railsim.povm import homodyne_density, homodyne_sample
 from railsim.stats import ks_statistic
 from railsim.trajectory import FeedbackPolicy, run_dyne_ensemble
 
@@ -58,9 +58,7 @@ def integrated_quadrature_check(state, mode, pulse, phi, master_seed,
     homodyne density of the same state at LO phase ``phi``."""
     result = run_dyne_ensemble(state, mode, pulse, FeedbackPolicy.homodyne(phi),
                                master_seed, n_trials)
-    grid_x, _, cdf = homodyne_cdf(state, mode, phi)
-    cdf /= cdf[-1]
-    return ks_statistic(result["x"], lambda v: np.interp(v, grid_x, cdf))
+    return ks_statistic(result["x"], homodyne_density(state, mode, phi).cdf)
 
 
 def decompose_pair_unitary(m: np.ndarray):

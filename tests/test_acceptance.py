@@ -18,7 +18,7 @@ from scipy import stats as sps
 from railsim.fock import PureState, single_photon, vacuum
 from railsim.optics import (BeamsplitterSpec, HADAMARD, SingleRailQubit,
                             beamsplitter)
-from railsim.povm import apm_sample, homodyne_cdf
+from railsim.povm import QuadratureDensity, apm_sample, homodyne_density
 from railsim.protocols import (PrepSpec,
                                apply_single_rail_unitary,
                                logical_target_fidelity, qubit_state,
@@ -66,13 +66,14 @@ def test_03_homodyne_arm_density_matches_closed_form():
     # quadrature of one arm of the split photon: exp(-x^2/2)(1+x^2)
     # normalized, second moment exactly 2
     state = split_photon()
-    xs, _, cdf = homodyne_cdf(state, 0, 0.0)
+    dens = homodyne_density(state, 0, 0.0)
+    xs, cum = dens.x, dens.cum
     rng = np.random.default_rng(5)
     n = 100_000
-    x = np.interp(rng.random(n) * cdf[-1], cdf, xs)
-    ref = np.exp(-xs ** 2 / 2.0) * (1.0 + xs ** 2) \
-        / (2.0 * math.sqrt(2.0 * math.pi))
-    p = chi2_gof_pvalue(x, xs, ref)
+    x = np.interp(rng.random(n) * cum[-1], cum, xs)
+    ref = QuadratureDensity(xs, np.exp(-xs ** 2 / 2.0) * (1.0 + xs ** 2)
+                            / (2.0 * math.sqrt(2.0 * math.pi)))
+    p = chi2_gof_pvalue(x, ref.quantile)
     m2 = float(np.mean(x * x))
     ok = p > 0.01 and abs(m2 - 2.0) < 0.05
     report("homodyne arm density", ok,

@@ -15,19 +15,24 @@ import importlib.resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import railsim
-from railsim import cli, protocols
+from railsim import cli, povm, protocols
 from railsim.cli import (ConfigError, main, named_state, parse_input_qubit,
                          parse_policy, parse_unitary)
 from railsim.fock import single_photon
 from railsim.optics import (HADAMARD, BeamsplitterSpec, beamsplitter,
                             dual_rail_bell)
-from railsim.povm import apm_sample
+from railsim.povm import (apm_density, apm_sample, homodyne_density,
+                          homodyne_sample)
 from railsim.protocols import (PrepSpec, qubit_state, run_protocol_trial,
                                trajectory_apm)
 from railsim.runner import trial_rng
 from railsim.trajectory import make_pulse
+
+import dict_ops
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -553,6 +558,43 @@ def test_sample_outputs_identical_across_chunk_sizes(capsys, tmp_path,
         capsys, tmp_path, monkeypatch, "SAMPLE_CHUNK", (64, 4096),
         _SAMPLE_COMMANDS[kind])
     assert small == large
+
+
+@settings(max_examples=40, deadline=None)
+@given(dict_ops.states(), st.data())
+def test_draw_chunk_columns_equal_the_samplers(state, data):
+    # The sample command's worker draws from the run's density; the
+    # samplers build the density and the posterior on every call.  A
+    # seed of 2**32 or more takes trial_rngs' per-trial fallback.
+    mode = data.draw(st.integers(0, state.n_modes - 1), label="mode")
+    assume(all(occ[mode] <= 1 for occ, _ in state.items()))
+    phi = data.draw(st.floats(-2.0 * math.pi, 2.0 * math.pi), label="phi")
+    start = data.draw(st.integers(0, 50), label="start")
+    bounds = (start, start + data.draw(st.integers(1, 8), label="length"))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    samplers = (("theta", apm_density(state, mode),
+                 partial(apm_sample, state, mode)),
+                ("x", homodyne_density(state, mode, phi),
+                 partial(homodyne_sample, state, mode, phi)))
+    for seed in (seed, 2**32 + 7):
+        for key, density, sample in samplers:
+            columns = cli._draw_chunk(bounds, density, key, seed)
+            outs = [sample(trial_rng(seed, i)) for i in range(*bounds)]
+            assert sorted(columns) == sorted([key, "density"])
+            assert columns[key].tolist() == [o.value for o in outs]
+            assert columns["density"].tolist() == [o.density for o in outs]
+
+
+@pytest.mark.parametrize("kind", ["apm", "homodyne"])
+def test_analytic_sampling_builds_no_posterior(kind, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample run projected a state")
+
+    monkeypatch.setattr(povm, "project_mode", refuse)
+    rc, summary = run_main(capsys, ["sample", kind, "--state", "plus-split",
+                                    "--n", "500", "--seed", "4"])
+    assert rc == 0
+    assert summary["results"]["n_trials"] == 500
 
 
 _PROTOCOL_COMMANDS = {

@@ -1,5 +1,6 @@
 """Analytic measurement distributions, sampling, and posteriors."""
 
+import copy
 import itertools
 import math
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from railsim.fock import (PureState, fidelity, fock_state, project_mode,
                          single_photon, vacuum)
 from railsim.optics import BeamsplitterSpec, beamsplitter
 from railsim.povm import (ApmDensity, OverOccupiedError, _apm_overlap, _apm_pdf,
-                          apm_density, apm_sample, homodyne_cdf, homodyne_density,
+                          apm_density, apm_sample, homodyne_density,
                           homodyne_sample, make_grid, photon_count, quad_psi)
 
 import dict_ops
@@ -163,31 +164,39 @@ def test_quad_psi_vacuum_is_unit_variance_gaussian():
 
 
 def test_split_photon_quadrature_density_closed_form():
-    x, pdf = homodyne_density(split_photon(), 0, 0.0)
+    dens = homodyne_density(split_photon(), 0, 0.0)
+    x, pdf = dens.x, dens.pdf
     want = np.exp(-x * x / 2.0) * (1.0 + x * x) / (2.0 * math.sqrt(2 * math.pi))
     assert np.allclose(pdf, want, atol=1e-12)
 
 
 def test_quadrature_density_is_phase_covariant_for_fock_states():
     # number states have phase-independent marginals
-    x0, p0 = homodyne_density(single_photon(0, 1), 0, 0.0)
-    x1, p1 = homodyne_density(single_photon(0, 1), 0, 1.3)
+    p0 = homodyne_density(single_photon(0, 1), 0, 0.0).pdf
+    p1 = homodyne_density(single_photon(0, 1), 0, 1.3).pdf
     assert np.allclose(p0, p1, atol=1e-12)
 
 
 def test_homodyne_cdf_total_weight():
-    xs, pdf, cdf = homodyne_cdf(plus_state(), 0, 0.0)
-    assert np.isclose(cdf[-1], 1.0, atol=1e-6)
-    assert np.all(np.diff(cdf) >= 0.0)
+    cum = homodyne_density(plus_state(), 0, 0.0).cum
+    assert np.isclose(cum[-1], 1.0, atol=1e-6)
+    assert np.all(np.diff(cum) >= 0.0)
 
 
 def test_homodyne_sample_mean_matches_quadrature_expectation():
+    # homodyne_sample takes its value from one draw of the state's
+    # density, so the draws below are the values it returns; a copy of
+    # the generator checks that on a prefix.
     rng = np.random.default_rng(6)
     n = 20000
     for phi in (0.0, 1.1):
         state = plus_state()
-        xs = np.array([homodyne_sample(state, 0, phi, rng).value
-                       for _ in range(n)])
+        check_rng = copy.deepcopy(rng)
+        dens = homodyne_density(state, 0, phi)
+        xs = np.array([dens.draw(rng)[0] for _ in range(n)])
+        prefix = [homodyne_sample(state, 0, phi, check_rng).value
+                  for _ in range(100)]
+        assert prefix == xs[:100].tolist()
         want = math.cos(phi)  # 2 Re(<a> e^{-i phi}) with <a> = 1/2
         sigma = xs.std() / math.sqrt(n)
         assert abs(xs.mean() - want) < 4.0 * sigma
@@ -203,7 +212,8 @@ def test_homodyne_posterior_of_split_photon():
 
 def test_homodyne_second_moment_of_single_photon():
     # <1| X^2 |1> = 3 for unit vacuum variance
-    x, pdf = homodyne_density(single_photon(0, 1), 0, 0.0)
+    dens = homodyne_density(single_photon(0, 1), 0, 0.0)
+    x, pdf = dens.x, dens.pdf
     assert np.isclose(np.trapezoid(x * x * pdf, x), 3.0, atol=1e-6)
 
 

@@ -9,7 +9,7 @@ from scipy import stats as sps
 from railsim import stats
 from railsim.fock import single_photon
 from railsim.optics import BeamsplitterSpec, beamsplitter
-from railsim.povm import homodyne_cdf
+from railsim.povm import QuadratureDensity, homodyne_density
 from railsim.stats import chi2_gof_pvalue, chi2_sf
 
 
@@ -39,11 +39,13 @@ def test_chi2_sf_edges():
 def test_chi2_gof_pvalue_matches_scipy_tail(monkeypatch):
     # the sample of test_03 in test_acceptance.py
     state = beamsplitter(single_photon(0, 2), BeamsplitterSpec(0, 1, 0.5))
-    xs, _, cdf = homodyne_cdf(state, 0, 0.0)
+    dens = homodyne_density(state, 0, 0.0)
+    xs, cum = dens.x, dens.cum
     rng = np.random.default_rng(5)
-    x = np.interp(rng.random(100_000) * cdf[-1], cdf, xs)
-    ref = np.exp(-xs ** 2 / 2.0) * (1.0 + xs ** 2) \
-        / (2.0 * math.sqrt(2.0 * math.pi))
-    p = chi2_gof_pvalue(x, xs, ref)
+    x = np.interp(rng.random(100_000) * cum[-1], cum, xs)
+    ref = QuadratureDensity(xs, np.exp(-xs ** 2 / 2.0) * (1.0 + xs ** 2)
+                            / (2.0 * math.sqrt(2.0 * math.pi)))
+    p = chi2_gof_pvalue(x, ref.quantile)
     monkeypatch.setattr(stats, "chi2_sf", lambda v, k: float(sps.chi2.sf(v, k)))
-    assert p == pytest.approx(chi2_gof_pvalue(x, xs, ref), rel=1e-12, abs=0.0)
+    assert p == pytest.approx(chi2_gof_pvalue(x, ref.quantile), rel=1e-12,
+                              abs=0.0)
