@@ -40,20 +40,24 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial_index]))
 
 
+_LANE_POOL = []  # this process's lane generators, reseeded by trial_rngs
+
+
 def trial_rngs(master_seed: int, start: int, stop: int):
     """Yield a generator in the state of ``trial_rng(master_seed, i)`` for
-    each i in range(start, stop); it is one generator, reused, so each is
-    valid only until the next is yielded.
+    each i in range(start, stop).  The generators of one call are
+    distinct, so they may be kept and drawn from in any order, but they
+    come from a per-process pool: each is valid only until the next call.
 
     Below 2**32, seed and index are one entropy word each: SeedSequence's
     hash of [master_seed, i] (NumPy NEP 19) runs on uint32 arrays for the
-    whole range, then PCG64's seeding (O'Neill 2014) on Python ints.
-    Larger values fall back to ``trial_rng`` per trial.
+    whole range, then PCG64's seeding (O'Neill 2014) on Python ints,
+    whose state is set straight into a pooled generator.  Larger values
+    fall back to ``trial_rng`` per trial.
     """
     if stop <= start:
         return
-    rng = trial_rng(master_seed, start)
-    yield rng
+    yield trial_rng(master_seed, start)
     if master_seed >= 2**32 or stop > 2**32:
         yield from (trial_rng(master_seed, i) for i in range(start + 1, stop))
         return
@@ -80,14 +84,16 @@ def trial_rngs(master_seed: int, start: int, stop: int):
     hash_const = 0x8B51F9DD
     words = np.stack([hashmix(pool[k % 4], 0x58F38DED) for k in range(8)], axis=1)
     mask = (1 << 128) - 1
-    bit_generator = rng.bit_generator
-    for row in words.astype("<u4", copy=False).view("<u8"):
+    _LANE_POOL.extend(np.random.Generator(np.random.PCG64(0))
+                      for _ in range(n - len(_LANE_POOL)))
+    for rng, row in zip(_LANE_POOL, words.astype("<u4", copy=False).view("<u8")):
         s_hi, s_lo, i_hi, i_lo = row.tolist()
         inc = (i_hi << 65 | i_lo << 1 | 1) & mask
         state = ((s_hi << 64 | s_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645
-        bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                               "uinteger": 0,
-                               "state": {"state": state + inc & mask, "inc": inc}}
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                   "uinteger": 0,
+                                   "state": {"state": state + inc & mask,
+                                             "inc": inc}}
         yield rng
 
 

@@ -56,6 +56,10 @@ EPS_END = 1e-6
 # small-delay assumption behind the adaptive estimator.
 DELAY_WARN_FRACTION = 0.05
 
+# The kernel reads its Wiener increments in blocks of about this many
+# bytes, so a lane source's buffer does not grow as dt falls.
+NOISE_BLOCK_BYTES = 2 << 20
+
 
 class TrajectoryDivergedError(Exception):
     """State norm became non-finite; dt is too large for the pulse."""
@@ -220,15 +224,41 @@ def _reduce_measured_mode(state: PureState, mode: int):
     return a0, rest_occs
 
 
-def _wiener_increments(lanes: int, rngs, pulse: PulseShape) -> np.ndarray:
-    """Wiener increments dW ~ N(0, dt), shape (lanes, n_steps); lane i
-    draws ``standard_normal(n_steps)`` from the i-th of ``rngs``, an
-    iterable that may make each generator as it is reached."""
-    noise = np.empty((lanes, pulse.n_steps))
-    for rng, row in zip(rngs, noise):
-        rng.standard_normal(out=row)
-    noise *= math.sqrt(pulse.dt)
-    return noise
+class _LaneNoise:
+    """Wiener increments dW ~ N(0, dt) of (lanes, n_steps), drawn one block
+    of steps at a time: ``noise[:, k0:k1]`` returns the next block, whose
+    row i continues ``standard_normal`` on the i-th of ``rngs``.  Drawn in
+    blocks, a stream gives the same values as one draw of all n_steps.
+
+    Blocks must be read in order, each starting where the last ended.  A
+    block reuses the buffer of the last one when it fits, so it is valid
+    only until the next is read.
+    """
+
+    def __init__(self, rngs, pulse: PulseShape):
+        self.draws = [rng.standard_normal for rng in rngs]
+        self.shape = (len(self.draws), pulse.n_steps)
+        self.size = self.shape[0] * self.shape[1]
+        self.scale = math.sqrt(pulse.dt)
+        self.drawn = 0
+        self.buffer = np.empty((self.shape[0], 0))
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, index):
+        lanes, steps = index
+        k0, k1, stride = steps.indices(self.shape[1])
+        if lanes != slice(None) or stride != 1 or k0 != self.drawn:
+            raise IndexError("lane noise is read as whole blocks, in order")
+        if self.buffer.shape[1] < k1 - k0:
+            self.buffer = np.empty((self.shape[0], k1 - k0))
+        block = self.buffer[:, :k1 - k0]
+        for draw, row in zip(self.draws, block):
+            draw(out=row)
+        block *= self.scale
+        self.drawn = k1
+        return block
 
 
 class _KrausLanes:
@@ -237,10 +267,13 @@ class _KrausLanes:
     Each lane carries p = conj(q_k) as (real, imaginary) on a leading
     axis of two.  The Gram matrix of a0 (g00, g11 and g01 = sum conj(a0[0])
     a0[1]) has one entry per row of ``a0``, which holds either one row
-    per lane or one row that all ``lanes`` share; d_k is shared.  A
-    vacuum-only mode is the case g01 = g11 = 0.  More than two levels
-    raise ``OverOccupiedError``.  The step works in buffers allocated
-    here; ``project`` returns two of them, valid until its next call.
+    per lane or one row that all ``lanes`` share; d_k is shared.  One row
+    keeps g00 and g11 as Python floats, which give the same bits as
+    length-one arrays at a fraction of the cost per step.  A vacuum-only
+    mode is the case g01 = g11 = 0.  More than two levels raise
+    ``OverOccupiedError``.  ``project(k, cs)`` and ``step(k, cs, jdt)``
+    work in buffers allocated here; ``project`` returns two of them,
+    valid until its next call.
     """
 
     def __init__(self, a0, pulse, lanes):
@@ -252,30 +285,43 @@ class _KrausLanes:
         self.row1 = row1 = a0[:, 1, :] if self.levels == 2 else np.zeros_like(row0)
         self.g00 = (row0.real ** 2 + row0.imag ** 2).sum(axis=1)
         self.g11 = (row1.real ** 2 + row1.imag ** 2).sum(axis=1)
+        if len(a0) == 1:
+            self.g00, self.g11 = float(self.g00[0]), float(self.g11[0])
         g01 = (row0.conj() * row1).sum(axis=1)
         self.g01 = np.empty((2, lanes))  # full width: adding a (2, 1) is slower
         self.g01[0], self.g01[1] = g01.real, g01.imag
         self.p = np.zeros((2, lanes))
-        self.m, self.t = np.empty((2, lanes)), np.empty((2, lanes))
-        self.proj, self.norm2, self.w = (np.empty(lanes) for _ in range(3))
         *_, self.d, self.d2, self.kick = pulse.kernel_tables
+        self.project, self.step = self._steppers(lanes)
 
-    def project(self, k, cs):
-        m, t, proj, norm2 = self.m, self.t, self.proj, self.norm2
-        np.multiply(self.p, self.g11, out=m)
-        m += self.g01                 # g01 + conj(q) g11
-        np.multiply(m, cs, out=t)
-        np.add(t[0], t[1], out=proj)
-        proj *= self.d[k]
-        m += self.g01
-        m *= self.p                   # rows sum to 2 Re(q g01) + |q|^2 g11
-        np.add(m[0], m[1], out=norm2)
-        norm2 += self.g00 + self.d2[k] * self.g11
-        return norm2, proj
+    def _steppers(self, lanes):
+        """The step as two closures, with the buffers, their row views,
+        the tables and the ufuncs bound once rather than looked up on
+        every step."""
+        p, g00, g11, g01 = self.p, self.g00, self.g11, self.g01
+        d, d2, kick = self.d, self.d2, self.kick
+        m, t = np.empty((2, lanes)), np.empty((2, lanes))
+        (m0, m1), (t0, t1) = m, t
+        proj, norm2, w = np.empty(lanes), np.empty(lanes), np.empty(lanes)
+        multiply, add = np.multiply, np.add
 
-    def step(self, k, cs, jdt):
-        np.multiply(jdt, self.kick[k], out=self.w)
-        self.p += np.multiply(self.w, cs, out=self.t)
+        def project(k, cs):
+            multiply(p, g11, m)
+            add(m, g01, m)            # g01 + conj(q) g11
+            multiply(m, cs, t)
+            add(t0, t1, proj)
+            multiply(proj, d[k], proj)
+            add(m, g01, m)
+            multiply(m, p, m)         # rows sum to 2 Re(q g01) + |q|^2 g11
+            add(m0, m1, norm2)
+            add(norm2, g00 + d2[k] * g11, norm2)
+            return norm2, proj
+
+        def step(k, cs, jdt):
+            multiply(jdt, kick[k], w)
+            add(p, multiply(w, cs, t), p)
+
+        return project, step
 
     def rows(self):
         q = self.p[0] - 1j * self.p[1]
@@ -305,7 +351,10 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
     """Run the per-step update for a batch of trajectories; returns columns.
 
     ``noise`` holds the Wiener increments, shape (batch, n_steps), and
-    sets the lane count.  ``a0`` has shape (batch, levels, n_rest) and
+    sets the lane count.  The loop reads it as ``noise[:, k0:k1]``, one
+    block of ``NOISE_BLOCK_BYTES // (8 * batch)`` steps at a time in
+    order, so it may be an array or a :class:`_LaneNoise` that draws each
+    block as it is read.  ``a0`` has shape (batch, levels, n_rest) and
     may differ per lane, or shape (1, levels, n_rest) when all lanes
     share it, which gives the same bits without the per-lane copy.  Every
     lane runs in Kraus form (:class:`_KrausLanes`), a few scalars per
@@ -314,11 +363,12 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
     elementwise across the batch, so each trajectory's floating point
     path is identical no matter how trials are batched.  A lone adaptive
     lane with no loop delay, the phase measurement of a protocol trial,
-    runs the same operations on Python floats (:func:`_one_kraus_lane`).
-    The columns are those of :func:`_finish`, plus the per-step
-    ``phases``, ``i_dt`` and ``j_dt``, shape (batch, n_steps), under
-    ``keep_series``.  A loop delay of the whole pulse or more only ever
-    reads the initial zero phase, so the delay ring is capped there.
+    runs the same operations on Python floats (:func:`_one_kraus_lane`)
+    on the whole lane, read as one block.  The columns are those of
+    :func:`_finish`, plus the per-step ``phases``, ``i_dt`` and ``j_dt``,
+    shape (batch, n_steps), under ``keep_series``.  A loop delay of the
+    whole pulse or more only ever reads the initial zero phase, so the
+    delay ring is capped there.
     """
     batch = len(noise)
     n_steps = pulse.n_steps
@@ -331,10 +381,13 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
     lanes = _KrausLanes(a0, pulse, batch)
 
     if batch == 1 and adaptive and lag == 0 and not keep_series:
+        # One read of the whole lane serves both loops: a lane source
+        # cannot draw the same steps twice.
+        noise = noise[:, :n_steps]
         lane = _one_kraus_lane(lanes, noise[0], drive, sqrt_u, inv_sqrt_cum)
         if lane is not None:
             p_re, p_im, s, x = lane
-            lanes.p = np.array([[p_re], [p_im]])
+            lanes.p[:, 0] = p_re, p_im
             return _finish(lanes, np.array([s]), np.array([x]), n_steps)
 
     s_sum = np.zeros(batch)
@@ -342,6 +395,7 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
     jdt, idt = np.empty(batch), np.empty(batch)
     if adaptive:
         cs = np.empty((2, batch))
+        cos0, sin1 = cs
         # With no delay the phase is the running sum itself; it is read
         # (cos, sin, series) before each step adds to it.
         phi = s_sum
@@ -354,32 +408,37 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
         ser_phi = np.empty((batch, n_steps))
         ser_idt = np.empty((batch, n_steps))
         ser_jdt = np.empty((batch, n_steps))
+    project, step = lanes.project, lanes.step
+    cos, sin, multiply, isfinite = np.cos, np.sin, np.multiply, np.isfinite
+    block = max(1, NOISE_BLOCK_BYTES // (8 * batch))
 
-    for k in range(n_steps):
-        if adaptive:
-            np.cos(phi, out=cs[0])
-            np.sin(phi, out=cs[1])
-        else:
-            phi = fixed_phase[k]
-            cs = fixed_cs[:, k]
-        norm2, proj = lanes.project(k, cs)
-        if k % 512 == 0 and not np.all(np.isfinite(norm2)):
-            raise TrajectoryDivergedError(k)
-        np.multiply(proj, drive[k], out=jdt)
-        jdt /= norm2
-        jdt += noise[:, k]
-        lanes.step(k, cs, jdt)
-        np.multiply(jdt, sqrt_u[k], out=idt)
-        if keep_series:
-            ser_phi[:, k] = phi
-            ser_idt[:, k] = idt
-            ser_jdt[:, k] = jdt
-        x_sum += idt
-        idt *= inv_sqrt_cum[k]
-        s_sum += idt
-        if adaptive and lag > 0:
-            ring[k % (lag + 1)] = s_sum
-            phi = ring[(k + 1) % (lag + 1)]  # the sum from step k - lag, or 0
+    for k0 in range(0, n_steps, block):
+        k1 = min(k0 + block, n_steps)
+        for k, dw in zip(range(k0, k1), noise[:, k0:k1].T):
+            if adaptive:
+                cos(phi, cos0)
+                sin(phi, sin1)
+            else:
+                phi = fixed_phase[k]
+                cs = fixed_cs[:, k]
+            norm2, proj = project(k, cs)
+            if k % 512 == 0 and not isfinite(norm2).all():
+                raise TrajectoryDivergedError(k)
+            multiply(proj, drive[k], jdt)
+            jdt /= norm2
+            jdt += dw
+            step(k, cs, jdt)
+            multiply(jdt, sqrt_u[k], idt)
+            if keep_series:
+                ser_phi[:, k] = phi
+                ser_idt[:, k] = idt
+                ser_jdt[:, k] = jdt
+            x_sum += idt
+            idt *= inv_sqrt_cum[k]
+            s_sum += idt
+            if adaptive and lag > 0:
+                ring[k % (lag + 1)] = s_sum
+                phi = ring[(k + 1) % (lag + 1)]  # the sum from step k - lag, or 0
 
     out = _finish(lanes, s_sum, x_sum, n_steps)
     if keep_series:
@@ -401,7 +460,7 @@ def _one_kraus_lane(lanes: _KrausLanes, noise: np.ndarray, drive, sqrt_u,
     reach p or the sums and stay there, and the caller then reruns the
     lane on the array loop, which raises TrajectoryDivergedError.
     """
-    g00, g11 = float(lanes.g00[0]), float(lanes.g11[0])
+    g00, g11 = lanes.g00, lanes.g11
     g01_re, g01_im = float(lanes.g01[0, 0]), float(lanes.g01[1, 0])
     cos, sin = math.cos, math.sin
     p_re = p_im = s = x = 0.0
@@ -461,7 +520,7 @@ def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
     """
     a0, rest_occs = _reduce_measured_mode(state, mode)
     _warn_on_long_loop_delay(policy, pulse)
-    noise = _wiener_increments(1, [rng], pulse)
+    noise = (rng.standard_normal(pulse.n_steps) * math.sqrt(pulse.dt))[None]
     cols = _evolve(a0[None, :, :], noise, pulse, policy,
                    keep_series=keep_series)
     posterior_amps = dict(zip(rest_occs, cols.pop("a_final")[0, 0, :]))
@@ -487,8 +546,11 @@ def _posterior_fidelity(a0: np.ndarray, a_final: np.ndarray,
 
 
 def _ensemble_chunk(bounds, a0, pulse, policy, master_seed):
-    noise = _wiener_increments(bounds[1] - bounds[0],
-                               trial_rngs(master_seed, *bounds), pulse)
+    """Columns of the trials in ``bounds``, stepped as one batch.  Each
+    lane keeps its trial's own generator for the whole chunk, and the
+    kernel draws the lanes' noise from them one block of steps at a time
+    (:class:`_LaneNoise`), so memory does not grow with n_steps."""
+    noise = _LaneNoise(list(trial_rngs(master_seed, *bounds)), pulse)
     cols = _evolve(a0[None], noise, pulse, policy)
     a_final = cols.pop("a_final")
     if policy.kind == "adaptive" and a0.shape[0] >= 2:

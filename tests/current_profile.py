@@ -6,12 +6,12 @@ trajectory kernel keeps, on the same per-trial streams and chunks as
 ``run_dyne_ensemble``; chunking bounds the kept series to one chunk.
 """
 
-import math
-
 import numpy as np
 
 from railsim.runner import DEFAULT_CHUNK, chunk_ranges, trial_rng
 from railsim.trajectory import _evolve, _reduce_measured_mode
+
+from state_lanes import wiener_increments
 
 
 def mean_current_profile(state, mode, pulse, policy, master_seed, n_trials):
@@ -25,9 +25,9 @@ def mean_current_profile(state, mode, pulse, policy, master_seed, n_trials):
     total = np.zeros(n_steps)
     total_sq = np.zeros(n_steps)
     for start, stop in chunk_ranges(n_trials, DEFAULT_CHUNK):
-        noise = np.stack([trial_rng(master_seed, i).standard_normal(n_steps)
-                          for i in range(start, stop)])
-        noise *= math.sqrt(pulse.dt)
+        noise = wiener_increments(stop - start, (trial_rng(master_seed, i)
+                                                 for i in range(start, stop)),
+                                  pulse)
         tiled = np.broadcast_to(a0, (stop - start,) + a0.shape)
         i_dt = _evolve(tiled, noise, pulse, policy, keep_series=True)["i_dt"]
         total += i_dt.sum(axis=0)

@@ -1,14 +1,30 @@
-"""The dyne step on the full amplitude array, the Kraus form's oracle.
+"""The dyne kernel's oracles: the step on the full amplitude array, and
+the Wiener increments as one full array.
 
 ``railsim.trajectory._evolve`` steps every lane in Kraus form, one
-complex coefficient per lane.  This class applies M_k explicitly to the
-whole (batch, levels, n_rest) array instead.  It has the constructor,
-``project``, ``step`` and ``rows`` of ``trajectory._KrausLanes``, so a
-test can patch it in as ``_KrausLanes`` and compare the two forms on the
-same noise.  It accepts any number of levels.
+complex coefficient per lane.  ``StateLanes`` applies M_k explicitly to
+the whole (batch, levels, n_rest) array instead.  It has the
+constructor, ``project``, ``step`` and ``rows`` of
+``trajectory._KrausLanes``, so a test can patch it in as ``_KrausLanes``
+and compare the two forms on the same noise.  It accepts any number of
+levels.  ``wiener_increments`` draws each lane's whole stream at once,
+where the library's lane source draws it in blocks of steps.
 """
 
+import math
+
 import numpy as np
+
+
+def wiener_increments(lanes: int, rngs, pulse) -> np.ndarray:
+    """Wiener increments dW ~ N(0, dt), shape (lanes, n_steps); lane i
+    draws ``standard_normal(n_steps)`` from the i-th of ``rngs``, an
+    iterable that may make each generator as it is reached."""
+    noise = np.empty((lanes, pulse.n_steps))
+    for rng, row in zip(rngs, noise):
+        rng.standard_normal(out=row)
+    noise *= math.sqrt(pulse.dt)
+    return noise
 
 
 class StateLanes:

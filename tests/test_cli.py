@@ -33,6 +33,7 @@ from railsim.runner import trial_rng
 from railsim.trajectory import make_pulse
 
 import dict_ops
+from state_lanes import wiener_increments
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -392,12 +393,30 @@ def test_memory_error_exits_with_a_message(capsys, monkeypatch):
         raise MemoryError("Unable to allocate 76.3 GiB")
 
     argv = ["trajectory", "--dt", "1e-2", "--n", "4"]
-    monkeypatch.setattr(railsim.trajectory, "_wiener_increments", too_large)
+    monkeypatch.setattr(railsim.trajectory, "_LaneNoise", too_large)
     assert main(argv) == 3
     assert capsys.readouterr().err == "railsim: Unable to allocate 76.3 GiB\n"
     monkeypatch.setattr(cli, "make_pulse", too_large)
     assert main(argv) == 2
     assert capsys.readouterr().err == "railsim: Unable to allocate 76.3 GiB\n"
+
+
+@pytest.mark.parametrize("n", [1, 1025])
+def test_trajectory_bytes_equal_full_noise_draws(capsys, monkeypatch, tmp_path, n):
+    # --n 1 and the last chunk of --n 1025 hold one lane; every chunk
+    # draws its noise in blocks of steps, and one full draw per lane, as
+    # the full-array oracle makes it, gives the same bytes
+    def run():
+        jsonl = tmp_path / "records.jsonl"
+        assert main(["trajectory", "--state", "plus-split", "--dt", "1e-2",
+                     "--n", str(n), "--seed", "5", "--jsonl", str(jsonl)]) == 0
+        return capsys.readouterr().out, jsonl.read_bytes()
+
+    blocks = run()
+    monkeypatch.setattr(
+        railsim.trajectory, "_LaneNoise",
+        lambda rngs, pulse: wiener_increments(len(rngs), rngs, pulse))
+    assert run() == blocks
 
 
 # ---- JSONL records ----

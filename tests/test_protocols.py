@@ -27,11 +27,11 @@ from railsim.protocols import (PrepSpec, apply_single_rail_unitary,
                                trajectory_apm)
 from railsim.runner import trial_rng
 from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
-                                _evolve, _reduce_measured_mode,
-                                _wiener_increments)
+                                _evolve, _reduce_measured_mode)
 
 from logical_state import logical_state
 from paper_checks import homodyne_prep_comparison, ks_uniform
+from state_lanes import wiener_increments
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -445,7 +445,7 @@ def _batched_gate_trials(u, c0, c1, pulse, master_seed, n_trials):
     """
     policy = FeedbackPolicy.adaptive()
     rngs = [trial_rng(master_seed, i) for i in range(n_trials)]
-    noise1 = _wiener_increments(n_trials, rngs, pulse)
+    noise1 = wiener_increments(n_trials, rngs, pulse)
 
     bell = dual_rail_bell()
     a0, rest_occs = _reduce_measured_mode(bell, 1)
@@ -473,8 +473,8 @@ def _batched_gate_trials(u, c0, c1, pulse, master_seed, n_trials):
 
     if phase2:
         stacks, occ_sets = [], None
-        noise2 = _wiener_increments(len(phase2), (rngs[i] for i, _ in phase2),
-                                    pulse)
+        noise2 = wiener_increments(len(phase2), (rngs[i] for i, _ in phase2),
+                                   pulse)
         for _, st in phase2:
             a0s, occs = _reduce_measured_mode(st, 1)
             stacks.append(a0s)

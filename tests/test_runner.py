@@ -15,9 +15,11 @@ from railsim.runner import run_chunked, trial_rng, trial_rngs
        n=st.integers(0, 48))
 def test_trial_rngs_reproduce_trial_rng(seed, start, n):
     # seed 0 coerces to one entropy word, as every other seed below 2**32
-    # does; a seed or an index of 2**32 or more takes the fallback
-    drawn = [(rng.random(3), rng.standard_normal(5))
-             for rng in trial_rngs(seed, start, start + n)]
+    # does; a seed or an index of 2**32 or more takes the fallback.  The
+    # generators of one call are distinct: all are held, then drawn from
+    # last first.
+    rngs = list(trial_rngs(seed, start, start + n))
+    drawn = [(rng.random(3), rng.standard_normal(5)) for rng in rngs[::-1]][::-1]
     assert len(drawn) == n
     for i, (uniform, normal) in enumerate(drawn, start):
         rng = trial_rng(seed, i)

@@ -1,6 +1,7 @@
 """Time-domain dyne trajectories: pulses, feedback, and statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from railsim.trajectory import (FeedbackPolicy, make_pulse, run_dyne_ensemble,
 
 from current_profile import mean_current_profile
 from paper_checks import integrated_quadrature_check
-from state_lanes import StateLanes
+from state_lanes import StateLanes, wiener_increments
 
 
 def plus_state(phi0: float = 0.0) -> PureState:
@@ -401,18 +402,57 @@ def test_shared_a0_equals_broadcast_a0(policy, keep_series):
         assert np.array_equal(shared[field], tiled[field])
 
 
-def test_ensemble_chunk_noise_is_each_trials_stream(monkeypatch):
+@pytest.mark.parametrize("bounds, block_bytes, policy", [
+    ((5, 12), None, FeedbackPolicy.adaptive()),
+    ((5, 12), 8 * 7 * 17, FeedbackPolicy.adaptive()),   # blocks of 17 steps
+    ((5, 12), 8 * 7 * 17, FeedbackPolicy.homodyne(0.3)),
+    ((4, 5), None, FeedbackPolicy.adaptive()),          # the float loop
+    ((4, 5), 8 * 30, FeedbackPolicy.homodyne(0.3)),     # one lane in blocks
+], ids=["one-block", "blocks", "homodyne-blocks", "one-lane",
+        "one-lane-homodyne-blocks"])
+@pytest.mark.parametrize("seed", [9, 2**32 + 3])
+def test_ensemble_chunk_equals_evolve_on_full_noise(monkeypatch, bounds,
+                                                    block_bytes, policy, seed):
+    # the chunk draws each lane's stream in blocks of steps; the full
+    # draw of the same trials' streams gives the same columns.  A seed of
+    # 2**32 or more takes trial_rngs' per-trial fallback.
     p = make_pulse("flat", dt=1e-2)
-    seen = []
-    evolve = trajectory._evolve
-    monkeypatch.setattr(trajectory, "_evolve",
-                        lambda a0, noise, *a: seen.append(noise) or
-                        evolve(a0, noise, *a))
     a0, _ = trajectory._reduce_measured_mode(split_photon(), 0)
-    trajectory._ensemble_chunk((5, 12), a0, p, FeedbackPolicy.adaptive(), 9)
-    want = np.stack([trial_rng(9, i).standard_normal(p.n_steps)
-                     for i in range(5, 12)]) * math.sqrt(p.dt)
-    assert np.array_equal(seen[0], want)
+    noise = wiener_increments(bounds[1] - bounds[0],
+                              (trial_rng(seed, i) for i in range(*bounds)), p)
+    want = trajectory._evolve(a0[None], noise, p, policy)
+    if block_bytes is not None:
+        monkeypatch.setattr(trajectory, "NOISE_BLOCK_BYTES", block_bytes)
+        assert p.n_steps % (block_bytes // (8 * len(noise))) != 0
+    got = trajectory._ensemble_chunk(bounds, a0, p, policy, seed)
+    for key in ("theta", "x", "residual_weight"):
+        assert np.array_equal(got[key], want[key]), key
+    assert ("fidelity" in got) == (policy.kind == "adaptive")
+
+
+def test_one_lane_rerun_reads_the_same_noise(monkeypatch):
+    # when the float loop gives up, the array loop reruns the lane on the
+    # increments it read, never on a generator that has moved on
+    p = make_pulse("flat", dt=1e-2)
+    a0, _ = trajectory._reduce_measured_mode(split_photon(), 0)
+    want = trajectory._ensemble_chunk((4, 5), a0, p, FeedbackPolicy.adaptive(), 9)
+    monkeypatch.setattr(trajectory, "_one_kraus_lane", lambda *a: None)
+    got = trajectory._ensemble_chunk((4, 5), a0, p, FeedbackPolicy.adaptive(), 9)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+def test_ensemble_memory_does_not_grow_with_the_noise():
+    # a 1024-lane chunk at dt=1e-4 would hold 82 MB as one noise array
+    pulse = make_pulse("flat", 1e-4)
+    tracemalloc.start()
+    try:
+        run_dyne_ensemble(plus_state(), 0, pulse, FeedbackPolicy.adaptive(),
+                          master_seed=3, n_trials=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_mean_current_profile_of_vacuum_is_flat_zero():
