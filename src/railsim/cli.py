@@ -6,7 +6,7 @@ from (master seed, i), so per-trial records are byte-identical no
 matter how many workers run them.  Each command prints a summary JSON
 on standard output that validates against the packaged
 schemas/summary.json; per-trial records go to --jsonl as one JSON
-object per line.
+object per line, written chunk by chunk as the chunks arrive.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 runtime
 error.
@@ -15,9 +15,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.resources
 import json
 import math
+import os
 import sys
 from collections import Counter
 from functools import partial
@@ -32,7 +34,8 @@ from .optics import (BeamsplitterSpec, HADAMARD, IDENTITY, PAULI_X, PAULI_Z,
                      single_rail_bell)
 from .povm import apm_density, apm_sample, homodyne_density, photon_count
 from .protocols import PrepSpec, run_protocol_trial, trajectory_apm
-from .runner import run_chunked, trial_rng, trial_rngs, worker_count
+from .runner import (chunk_ranges, map_chunks, trial_rng, trial_rngs,
+                     worker_count)
 from .stats import chi2_gof_pvalue, ks_statistic
 from .trajectory import (FeedbackPolicy, TrajectoryDivergedError, make_pulse,
                          run_dyne_ensemble, simulate_dyne)
@@ -161,15 +164,56 @@ def _emit(command: str, config: dict, results: dict, args) -> int:
     return 0
 
 
-def _write_jsonl(path: str | None, columns: dict) -> None:
-    """Write one sorted-key JSON line per trial from equal-length columns."""
+@contextlib.contextmanager
+def _jsonl_writer(path: str | None, numbered: bool):
+    """Yield ``write(columns)``, which writes one sorted-key JSON line per
+    trial of equal-length columns; ``numbered`` adds a ``trial`` column
+    that counts on across calls.  The lines go to a temporary file beside
+    ``path`` that replaces it only when the block succeeds, so a failed
+    run leaves no file.  A path that exists but is no regular file (a
+    pipe, /dev/stdout) is written in place; None writes nothing.
+    """
     if path is None:
+        yield lambda columns: None
         return
     encode = json.JSONEncoder(sort_keys=True).encode
-    keys = tuple(columns)
-    with open(path, "w") as fh:
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if in_place else f"{path}.{os.getpid()}.tmp"
+    written = 0
+
+    def write(columns):
+        nonlocal written
+        if numbered:
+            rows = len(next(iter(columns.values())))
+            columns = {"trial": range(written, written + rows), **columns}
+            written += rows
+        keys = tuple(columns)
         for row in zip(*columns.values(), strict=True):
             fh.write(encode(dict(zip(keys, row))) + "\n")
+
+    try:
+        with open(tmp, "w") as fh:
+            yield write
+    except BaseException:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+    if not in_place:
+        os.replace(tmp, path)
+
+
+def _stream(fn, n, chunk_size, threads, path, fold, numbered=False) -> None:
+    """Run ``fn`` over the chunks of range(n).  Each chunk's columns are
+    written to the JSONL at ``path`` as they arrive, in trial order, and
+    then handed to ``fold``, which keeps what the summary reads; the
+    chunk is dropped after that."""
+    with _jsonl_writer(path, numbered) as write:
+        def consume(cols):
+            write(cols)
+            fold(cols)
+
+        map_chunks(fn, chunk_ranges(n, chunk_size), consume, threads)
 
 
 def _histogram(values, edges) -> dict:
@@ -208,6 +252,35 @@ def _protocol_chunk(bounds, protocol, apm, seed, **target):
     return {key: [r[key] for r in records] for key in records[0]}
 
 
+def _protocol_results(protocol, apm, seed, n, threads, path, **target) -> dict:
+    """Run a prep or gate command's trials, streaming their records to the
+    JSONL, and return its summary results.  Each chunk is folded into the
+    success and collapse counts, the Bell-count outcomes and the
+    fidelities of the successful trials, kept as one float array."""
+    successes, collapsed, outcomes, fids = [], Counter(), Counter(), []
+
+    def fold(cols):
+        successes.append(sum(cols["success"]))
+        collapsed.update(cols["collapsed"])  # None, 0 or 1, never a bool
+        outcomes.update(",".join(map(str, c)) for c in cols["counts"]
+                        if c is not None)
+        fids.append(np.array([f for f in cols["fidelity"] if f is not None],
+                             dtype=float))
+
+    _stream(partial(_protocol_chunk, protocol=protocol, apm=apm, seed=seed,
+                    **target), n, PROTOCOL_CHUNK, threads, path, fold)
+    fids = np.concatenate(fids)
+    results = {"n_trials": n, "success_rate": sum(successes) / n}
+    if protocol == "gate":
+        results.update(collapsed_zero_rate=collapsed[0] / n,
+                       collapsed_one_rate=collapsed[1] / n,
+                       counts_by_outcome=dict(sorted(outcomes.items())))
+    if fids.size:
+        results.update(fidelity_min=float(min(fids)),
+                       fidelity_mean=float(np.mean(fids)))
+    return results
+
+
 def _common_ints(args):
     n = int(args.n)
     if n < 1:
@@ -242,10 +315,12 @@ def cmd_sample(args):
         modes = tuple(range(state.n_modes))
 
         def run_count():
-            cols = run_chunked(partial(_count_chunk, state=state, modes=modes,
-                                       seed=seed), n, SAMPLE_CHUNK, threads)
-            _write_jsonl(args.jsonl, {"trial": range(n), **cols})
-            by_outcome = Counter(",".join(map(str, c)) for c in cols["counts"])
+            by_outcome = Counter()
+            _stream(partial(_count_chunk, state=state, modes=modes, seed=seed),
+                    n, SAMPLE_CHUNK, threads, args.jsonl,
+                    lambda cols: by_outcome.update(
+                        ",".join(map(str, c)) for c in cols["counts"]),
+                    numbered=True)
             results = {"n_trials": n,
                        "counts_by_outcome": dict(sorted(by_outcome.items()))}
             return _emit("sample-count", config, results, args)
@@ -276,14 +351,16 @@ def cmd_sample(args):
 
     def run():
         if backend == "analytic":
-            cols = run_chunked(partial(_draw_chunk, density=density, key=key,
-                                       seed=seed), n, SAMPLE_CHUNK, threads)
+            parts = []
+            _stream(partial(_draw_chunk, density=density, key=key, seed=seed),
+                    n, SAMPLE_CHUNK, threads, args.jsonl,
+                    lambda cols: parts.append(cols[key]), numbered=True)
+            values = np.concatenate(parts)
         else:
             values = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
                                        threads=threads)[key]
-            cols = {key: values, "density": density(values)}
-        _write_jsonl(args.jsonl, {"trial": range(n), **cols})
-        values = cols[key]
+            with _jsonl_writer(args.jsonl, numbered=True) as write:
+                write({key: values, "density": density(values)})
         results = {"n_trials": n,
                    f"ks_{key}": float(ks_statistic(values, density.cdf)),
                    "histogram": _histogram(values, edges)}
@@ -312,15 +389,8 @@ def cmd_prep(args):
     apm = _protocol_apm(args, config)
 
     def run():
-        cols = run_chunked(partial(_protocol_chunk, protocol="prepare",
-                                   apm=apm, seed=seed, spec=spec),
-                           n, PROTOCOL_CHUNK, threads)
-        _write_jsonl(args.jsonl, cols)
-        fids = cols["fidelity"]
-        results = {"n_trials": n,
-                   "success_rate": sum(cols["success"]) / n,
-                   "fidelity_min": float(min(fids)),
-                   "fidelity_mean": float(np.mean(fids))}
+        results = _protocol_results("prepare", apm, seed, n, threads,
+                                    args.jsonl, spec=spec)
         return _emit("prep", config, results, args)
 
     return run
@@ -335,20 +405,8 @@ def cmd_gate(args):
     apm = _protocol_apm(args, config)
 
     def run():
-        cols = run_chunked(partial(_protocol_chunk, protocol="gate",
-                                   apm=apm, seed=seed, qubit=(c0, c1), u=u),
-                           n, PROTOCOL_CHUNK, threads)
-        _write_jsonl(args.jsonl, cols)
-        by_counts = Counter(",".join(map(str, c)) for c in cols["counts"])
-        # collapsed holds None, 0 or 1, never a bool
-        results = {"n_trials": n, "success_rate": sum(cols["success"]) / n,
-                   "collapsed_zero_rate": cols["collapsed"].count(0) / n,
-                   "collapsed_one_rate": cols["collapsed"].count(1) / n,
-                   "counts_by_outcome": dict(sorted(by_counts.items()))}
-        fids = [f for f in cols["fidelity"] if f is not None]
-        if fids:
-            results["fidelity_min"] = float(min(fids))
-            results["fidelity_mean"] = float(np.mean(fids))
+        results = _protocol_results("gate", apm, seed, n, threads, args.jsonl,
+                                    qubit=(c0, c1), u=u)
         return _emit("gate", config, results, args)
 
     return run
@@ -372,7 +430,8 @@ def cmd_trajectory(args):
         cols = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
                                  threads=threads)
         fidelity = cols.pop("fidelity", None)
-        _write_jsonl(args.jsonl, {"trial": range(n), **cols})
+        with _jsonl_writer(args.jsonl, numbered=True) as write:
+            write(cols)
         results = {"n_trials": n,
                    "mean_residual_weight": float(cols["residual_weight"].mean())}
         results.update(_moments(cols["x"]))

@@ -48,7 +48,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .fock import APM_OCCUPATION_TOL, OverOccupiedError, PureState
-from .runner import DEFAULT_CHUNK, run_chunked, trial_rngs
+from .runner import DEFAULT_CHUNK, lane_rngs, run_chunked
 
 EPS_END = 1e-6
 
@@ -547,10 +547,11 @@ def _posterior_fidelity(a0: np.ndarray, a_final: np.ndarray,
 
 def _ensemble_chunk(bounds, a0, pulse, policy, master_seed):
     """Columns of the trials in ``bounds``, stepped as one batch.  Each
-    lane keeps its trial's own generator for the whole chunk, and the
-    kernel draws the lanes' noise from them one block of steps at a time
-    (:class:`_LaneNoise`), so memory does not grow with n_steps."""
-    noise = _LaneNoise(list(trial_rngs(master_seed, *bounds)), pulse)
+    lane keeps its trial's own generator for the whole chunk (the only
+    caller of ``lane_rngs``), and the kernel draws the lanes' noise from
+    them one block of steps at a time (:class:`_LaneNoise`), so memory
+    does not grow with n_steps."""
+    noise = _LaneNoise(lane_rngs(master_seed, *bounds), pulse)
     cols = _evolve(a0[None], noise, pulse, policy)
     a_final = cols.pop("a_final")
     if policy.kind == "adaptive" and a0.shape[0] >= 2:

@@ -1,5 +1,6 @@
 """Command line: parsing, exit codes, summary schema, reproducibility."""
 
+import gc
 import json
 import math
 import os
@@ -7,6 +8,8 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -461,23 +464,103 @@ def test_jsonl_records_carry_the_readme_keys(command, capsys, tmp_path):
 
 
 def test_write_jsonl_refuses_columns_of_unequal_length(tmp_path):
+    # the failed write leaves neither the file nor its temporary
     path = str(tmp_path / "records.jsonl")
-    with pytest.raises(ValueError):
-        cli._write_jsonl(path, {"trial": range(3), "theta": np.zeros(2)})
-    with pytest.raises(ValueError):
-        cli._write_jsonl(path, {"trial": range(2), "theta": np.zeros(3)})
+    for columns in ({"trial": range(3), "theta": np.zeros(2)},
+                    {"trial": range(2), "theta": np.zeros(3)}):
+        with pytest.raises(ValueError):
+            with cli._jsonl_writer(path, numbered=False) as write:
+                write(columns)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_write_jsonl_encodes_float_arrays_as_python_floats(tmp_path):
+    # two writes of a numbered file: the trial index counts on
     values = [0.1, 1.0 / 3.0, 2.0 * math.pi, 5e-324, 1e300]
     lines = []
     for theta in (values, np.array(values)):
         path = tmp_path / "records.jsonl"
-        cli._write_jsonl(str(path), {"trial": range(5), "theta": theta})
+        with cli._jsonl_writer(str(path), numbered=True) as write:
+            write({"theta": theta[:2]})
+            write({"theta": theta[2:]})
         lines.append(path.read_text())
     assert lines[0] == lines[1]
     assert json.loads(lines[1].splitlines()[1]) == {"trial": 1,
                                                     "theta": 1.0 / 3.0}
+    assert json.loads(lines[1].splitlines()[4]) == {"trial": 4, "theta": 1e300}
+
+
+def _fail_on_the_third_chunk(bounds, *args, **kwargs):
+    """The chunk worker in ``.wraps``, raising on the third chunk of four
+    trials.  Module level, so that the fork pool can pickle it."""
+    if bounds[0] == 8:
+        raise RuntimeError("chunk 3 failed")
+    return _fail_on_the_third_chunk.wraps(bounds, *args, **kwargs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("command", ["sample count", "gate"])
+def test_failed_run_leaves_no_jsonl(command, threads, capsys, monkeypatch,
+                                    tmp_path):
+    # Chunks 1 and 2 are written before chunk 3 fails; the run exits 3 and
+    # leaves no file at --jsonl and no temporary file beside it.
+    knob, worker = {"sample count": ("SAMPLE_CHUNK", "_count_chunk"),
+                    "gate": ("PROTOCOL_CHUNK", "_protocol_chunk")}[command]
+    monkeypatch.setattr(cli, knob, 4)
+    monkeypatch.setattr(_fail_on_the_third_chunk, "wraps", getattr(cli, worker),
+                        raising=False)
+    monkeypatch.setattr(cli, worker, _fail_on_the_third_chunk)
+    argv = _JSONL_ARGV[command] + ["--n", "20", "--threads", str(threads),
+                                   "--jsonl", str(tmp_path / "records.jsonl")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "railsim: chunk 3 failed\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+
+def test_jsonl_to_a_pipe_is_written_in_place(capsys, tmp_path):
+    # A pipe cannot be replaced by a finished temporary file, so its
+    # records go straight to it and nothing is left beside it.
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+    lines = []
+    reader = threading.Thread(target=lambda: lines.extend(
+        fifo.read_text().splitlines()), daemon=True)
+    reader.start()
+    try:
+        assert main(["sample", "count", "--n", "3", "--jsonl", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    capsys.readouterr()
+    assert [json.loads(line)["trial"] for line in lines] == [0, 1, 2]
+    assert list(tmp_path.iterdir()) == [fifo]
+
+# A run that keeps every trial's records grows by about 470 B per gate
+# trial and 115 B per count trial; one that streams its chunks keeps 8 B
+# per successful gate trial (the fidelities) and nothing per count trial.
+MEMORY_GROWTH_BOUND = 256 * 1024  # bytes from --n 256 to --n 4096
+
+
+@pytest.mark.parametrize("command", ["sample count", "gate"])
+def test_run_memory_does_not_grow_with_the_trials(command, capsys,
+                                                  monkeypatch, tmp_path):
+    # 256-trial chunks for both commands, so that both runs hold one chunk
+    # of the same size.  The first run warms the caches and is not counted.
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 256)
+    argv = _JSONL_ARGV[command] + ["--seed", "1", "--threads", "1",
+                                   "--jsonl", str(tmp_path / "records.jsonl")]
+    peaks = []
+    for n in (256, 256, 4096):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--n", str(n)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    assert peaks[2] - peaks[1] < MEMORY_GROWTH_BOUND, peaks
 
 
 # ---- config files ----

@@ -1,11 +1,12 @@
-"""Per-trial seeding against trial_rng, and the joined chunk columns."""
+"""Per-trial seeding against trial_rng, and chunks handed over in order."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsim.runner import run_chunked, trial_rng, trial_rngs
+from railsim.runner import (chunk_ranges, lane_rngs, map_chunks,
+                            run_chunked, trial_rng, trial_rngs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -15,16 +16,23 @@ from railsim.runner import run_chunked, trial_rng, trial_rngs
        n=st.integers(0, 48))
 def test_trial_rngs_reproduce_trial_rng(seed, start, n):
     # seed 0 coerces to one entropy word, as every other seed below 2**32
-    # does; a seed or an index of 2**32 or more takes the fallback.  The
-    # generators of one call are distinct: all are held, then drawn from
-    # last first.
-    rngs = list(trial_rngs(seed, start, start + n))
-    drawn = [(rng.random(3), rng.standard_normal(5)) for rng in rngs[::-1]][::-1]
-    assert len(drawn) == n
-    for i, (uniform, normal) in enumerate(drawn, start):
+    # does; a seed or an index of 2**32 or more takes the fallback.
+    # trial_rngs reseeds one generator, so each is drawn from as it comes;
+    # the generators of lane_rngs are distinct: all are held, then drawn
+    # from last first.
+    rngs, drawn = [], []
+    for rng in trial_rngs(seed, start, start + n):
+        rngs.append(rng)
+        drawn.append((rng.random(3), rng.standard_normal(5)))
+    assert all(rng is rngs[0] for rng in rngs)
+    lanes = lane_rngs(seed, start, start + n)
+    assert len({id(rng) for rng in lanes}) == len(lanes) == n
+    held = [(rng.random(3), rng.standard_normal(5)) for rng in lanes[::-1]][::-1]
+    for i, got, lane in zip(range(start, start + n), drawn, held, strict=True):
         rng = trial_rng(seed, i)
-        assert np.array_equal(uniform, rng.random(3))
-        assert np.array_equal(normal, rng.standard_normal(5))
+        for one, held_one, want in zip(got, lane, (rng.random(3),
+                                                   rng.standard_normal(5))):
+            assert np.array_equal(one, want) and np.array_equal(held_one, want)
 
 
 def _columns(bounds):
@@ -43,3 +51,16 @@ def test_run_chunked_joins_columns_in_trial_order(chunk_size, threads):
     assert np.array_equal(got["value"], want["value"])
     assert type(got["counts"]) is list
     assert got["counts"] == want["counts"]
+
+
+def test_map_chunks_consumes_each_chunk_before_the_next_runs():
+    events = []
+
+    def fn(bounds):
+        events.append(("run", bounds))
+        return bounds
+
+    map_chunks(fn, chunk_ranges(7, 3),
+               lambda part: events.append(("use", part)), 1)
+    assert events == [(kind, bounds) for bounds in ((0, 3), (3, 6), (6, 7))
+                      for kind in ("run", "use")]
