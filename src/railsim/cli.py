@@ -169,15 +169,17 @@ def _jsonl_writer(path: str | None, numbered: bool):
     """Yield ``write(columns)``, which writes one sorted-key JSON line per
     trial of equal-length columns; ``numbered`` adds a ``trial`` column
     that counts on across calls.  The lines go to a temporary file beside
-    ``path`` that replaces it only when the block succeeds, so a failed
-    run leaves no file.  A path that exists but is no regular file (a
-    pipe, /dev/stdout) is written in place; None writes nothing.
+    ``path`` (or its symlink's target) that replaces it only when the
+    block succeeds, so a failed run leaves no file.  A path that exists
+    but is no regular file (a pipe, /dev/stdout) is written in place;
+    None writes nothing.
     """
     if path is None:
         yield lambda columns: None
         return
     encode = json.JSONEncoder(sort_keys=True).encode
     in_place = os.path.exists(path) and not os.path.isfile(path)
+    path = path if in_place else os.path.realpath(path)
     tmp = path if in_place else f"{path}.{os.getpid()}.tmp"
     written = 0
 

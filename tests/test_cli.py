@@ -517,7 +517,6 @@ def test_failed_run_leaves_no_jsonl(command, threads, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-
 def test_jsonl_to_a_pipe_is_written_in_place(capsys, tmp_path):
     # A pipe cannot be replaced by a finished temporary file, so its
     # records go straight to it and nothing is left beside it.
@@ -535,6 +534,18 @@ def test_jsonl_to_a_pipe_is_written_in_place(capsys, tmp_path):
     capsys.readouterr()
     assert [json.loads(line)["trial"] for line in lines] == [0, 1, 2]
     assert list(tmp_path.iterdir()) == [fifo]
+
+
+
+def test_jsonl_through_a_symlink_replaces_its_target(capsys, tmp_path):
+    target = tmp_path / "records.jsonl"
+    target.write_text("old\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    assert main(["sample", "count", "--n", "2", "--jsonl", str(link)]) == 0
+    capsys.readouterr()
+    assert link.is_symlink() and len(target.read_text().splitlines()) == 2
+    assert sorted(tmp_path.iterdir()) == [link, target]
 
 # A run that keeps every trial's records grows by about 470 B per gate
 # trial and 115 B per count trial; one that streams its chunks keeps 8 B
