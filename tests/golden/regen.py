@@ -10,13 +10,16 @@ tolerance mode.
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Run it only for a change that moves output bytes on purpose, and list
-the files it changed.
+Run it only for a change that moves output bytes on purpose.  It prints
+the corpus files it changed, added and removed, and the largest relative
+difference of a float in a changed file from the committed one; list
+those in the change's notes.
 """
 
 import contextlib
 import io
 import json
+import math
 import platform
 import sys
 import tempfile
@@ -38,6 +41,11 @@ COMMANDS = {
                                "--n", "64"), False),
     "sample-homodyne": (("sample", "homodyne", "--state", "babichev",
                          "--phi", "0.4", "--n", "64"), False),
+    # n >= 400 adds chi2_p; vacuum's table saturates in its right tail
+    "sample-homodyne-chi2-plus": (("sample", "homodyne", "--state", "plus",
+                                   "--phi", "1.1", "--n", "512"), False),
+    "sample-homodyne-chi2-vacuum": (("sample", "homodyne", "--state", "vacuum",
+                                     "--n", "512"), False),
     "sample-homodyne-trajectory": (("sample", "homodyne", "--state", "plus",
                                     *DYNE, "--n", "64"), False),
     "sample-count": (("sample", "count", "--state", "bell-dual", "--n", "64"),
@@ -91,10 +99,51 @@ def run_case(case: dict, work: Path) -> dict:
     return texts
 
 
+def parse(suffix, text):
+    """A file's values in order: JSON documents, or the CSV's header and
+    rows of floats."""
+    lines = text.splitlines()
+    if suffix in ("stdout", "json"):
+        return json.loads(text)
+    if suffix == "jsonl":
+        return [json.loads(line) for line in lines]
+    return [lines[0], *([float(v) for v in line.split(",")] for line in lines[1:])]
+
+
+def floats(value):
+    """The floats of a parsed file, depth first."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from floats(item)
+    elif isinstance(value, float):
+        yield value
+
+
+def largest_rel_diff(name: str, old: str, new: str) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the floats of two versions of
+    one file, paired in order; inf if they hold different numbers of
+    floats."""
+    suffix = name.rpartition(".")[2]
+    a, b = (list(floats(parse(suffix, text))) for text in (old, new))
+    if len(a) != len(b):
+        return math.inf
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b)
+                if x != y), default=0.0)
+
+
+def corpus() -> dict:
+    """{file name: text} of the corpus as it stands."""
+    return {path.name: path.read_text()
+            for suffix in ("stdout", "jsonl", "csv", "json")
+            for path in HERE.glob(f"*.{suffix}")}
+
+
 def main() -> int:
-    for suffix in ("stdout", "jsonl", "csv"):
-        for path in HERE.glob(f"*.{suffix}"):
-            path.unlink()
+    before = corpus()
+    for name in before:
+        (HERE / name).unlink()
     table = cases()
     with tempfile.TemporaryDirectory() as work:
         for name, case in table.items():
@@ -102,7 +151,18 @@ def main() -> int:
                 (HERE / f"{name}.{suffix}").write_text(text)
     manifest = {"environment": environment(), "cases": table}
     (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    after = corpus()
+    changed = sorted(n for n in before.keys() & after.keys()
+                     if before[n] != after[n])
     print(f"wrote {len(table)} cases to {HERE}")
+    for label, names in (("changed", changed),
+                         ("added", sorted(after.keys() - before.keys())),
+                         ("removed", sorted(before.keys() - after.keys()))):
+        print(f"{label} ({len(names)}): {' '.join(names) or '-'}")
+    diffs = {n: largest_rel_diff(n, before[n], after[n]) for n in changed}
+    if diffs:
+        worst = max(diffs, key=diffs.get)
+        print(f"largest relative float difference: {diffs[worst]:.3g} in {worst}")
     return 0
 
 

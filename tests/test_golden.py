@@ -19,7 +19,7 @@ import pytest
 
 from railsim import cli
 
-from golden.regen import environment, run_case
+from golden.regen import environment, parse, run_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -45,17 +45,6 @@ def _assert_close(got, want, where):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
-def _parse(suffix, text):
-    """A file's values in order: JSON documents, or the CSV's header and
-    rows of floats."""
-    lines = text.splitlines()
-    if suffix == "stdout":
-        return json.loads(text)
-    if suffix == "jsonl":
-        return [json.loads(line) for line in lines]
-    return [lines[0], *([float(v) for v in line.split(",")] for line in lines[1:])]
-
-
 @pytest.mark.parametrize("name", sorted(MANIFEST["cases"]))
 def test_golden_output(name, tmp_path, monkeypatch):
     # Chunks of 16 trials put every sample and protocol case over several
@@ -72,5 +61,5 @@ def test_golden_output(name, tmp_path, monkeypatch):
                   f"{environment()} is not the corpus's "
                   f"{MANIFEST['environment']}")
     for suffix in want:
-        _assert_close(_parse(suffix, got[suffix]), _parse(suffix, want[suffix]),
+        _assert_close(parse(suffix, got[suffix]), parse(suffix, want[suffix]),
                       f"[{MODE}] {name}.{suffix}")
