@@ -132,17 +132,17 @@ def _entry(c) -> complex:
 
 
 def parse_policy(spec: str, loop_delay: float) -> FeedbackPolicy:
+    """Exactly "adaptive", "homodyne[:PHI]" or "heterodyne[:RAMP]"."""
     key = spec.strip().lower()
     if key == "adaptive":
         return FeedbackPolicy.adaptive(loop_delay=loop_delay)
     if loop_delay:
         raise ConfigError("--delay applies to the adaptive policy only")
-    if key.startswith("homodyne"):
-        phi = finite_float(key.split(":", 1)[1]) if ":" in key else 0.0
-        return FeedbackPolicy.homodyne(phi)
-    if key.startswith("heterodyne"):
-        ramp = finite_float(key.split(":", 1)[1]) if ":" in key else 50.0
-        return FeedbackPolicy.heterodyne(ramp)
+    name, colon, arg = key.partition(":")
+    if name == "homodyne":
+        return FeedbackPolicy.homodyne(finite_float(arg) if colon else 0.0)
+    if name == "heterodyne":
+        return FeedbackPolicy.heterodyne(finite_float(arg) if colon else 50.0)
     raise ConfigError(f"unknown policy {spec!r}")
 
 
@@ -466,6 +466,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="command")
     sub_map = {}
 
+    def dyne(p, backend=True):
+        """The dyne integrator's flags; ``backend`` adds the choice of
+        integrator or analytic POVM."""
+        if backend:
+            p.add_argument("--backend", choices=["analytic", "trajectory"],
+                           default="analytic")
+        p.add_argument("--dt", type=finite_float, default=1e-4,
+                       help="trajectory time step")
+        p.add_argument("--pulse", default="flat",
+                       help="flat, raised-cosine, expdecay or expdecay:RATE")
+
     def common(p):
         p.add_argument("--n", type=int, default=1000, help="number of trials")
         p.add_argument("--seed", type=int, default=0,
@@ -485,12 +496,7 @@ def build_parser():
     ps.add_argument("--mode", type=int, default=0, help="measured mode")
     ps.add_argument("--phi", type=finite_float, default=0.0,
                     help="local-oscillator phase (homodyne)")
-    ps.add_argument("--backend", choices=["analytic", "trajectory"],
-                    default="analytic")
-    ps.add_argument("--dt", type=finite_float, default=1e-4,
-                    help="trajectory time step")
-    ps.add_argument("--pulse", default="flat",
-                    help="flat, raised-cosine, or expdecay[:rate]")
+    dyne(ps)
     ps.add_argument("--delay", type=finite_float, default=0.0,
                     help="feedback loop delay (trajectory apm)")
     common(ps)
@@ -500,10 +506,7 @@ def build_parser():
     pp.add_argument("--alpha", type=finite_float, default=None,
                     help="target amplitude of |0>")
     pp.add_argument("--phi", type=finite_float, default=0.0, help="target phase")
-    pp.add_argument("--backend", choices=["analytic", "trajectory"],
-                    default="analytic")
-    pp.add_argument("--dt", type=finite_float, default=1e-4)
-    pp.add_argument("--pulse", default="flat")
+    dyne(pp)
     common(pp)
     sub_map["prep"] = pp
 
@@ -512,20 +515,16 @@ def build_parser():
                     help="identity|hadamard|x|z|file:PATH")
     pg.add_argument("--input", default="0",
                     help="0|1|plus|minus|qubit:alpha,phi")
-    pg.add_argument("--backend", choices=["analytic", "trajectory"],
-                    default="analytic")
-    pg.add_argument("--dt", type=finite_float, default=1e-4)
-    pg.add_argument("--pulse", default="flat")
+    dyne(pg)
     common(pg)
     sub_map["gate"] = pg
 
     pt = sub.add_parser("trajectory", help="dyne trajectory ensembles")
     pt.add_argument("--state", default="plus")
     pt.add_argument("--mode", type=int, default=0)
-    pt.add_argument("--pulse", default="flat")
     pt.add_argument("--policy", default="adaptive",
-                    help="adaptive, homodyne[:phi], or heterodyne[:ramp]")
-    pt.add_argument("--dt", type=finite_float, default=1e-4)
+                    help="adaptive, homodyne[:PHI] or heterodyne[:RAMP]")
+    dyne(pt, backend=False)
     pt.add_argument("--delay", type=finite_float, default=0.0,
                     help="feedback loop delay (adaptive)")
     pt.add_argument("--full-record", dest="full_record", default=None,

@@ -165,16 +165,14 @@ class QuadratureDensity:
         return np.interp(v, self.x, self.cum) / self.cum[-1]
 
     def quantile(self, q) -> np.ndarray:
-        """Inverse of :meth:`cdf`, taken on the strictly increasing
-        section of the table so that it is well defined."""
-        cdf = self.cum / self.cum[-1]
-        keep = np.concatenate(([True], np.diff(cdf) > 0))
-        return np.interp(q, cdf[keep], self.x[keep])
+        """Inverse of :meth:`cdf`, interpolated on the raw cumulative.
+        The one inversion: :meth:`draw` and the chi-squared bin edges
+        both use it."""
+        return np.interp(q * self.cum[-1], self.cum, self.x)
 
     def draw(self, rng: np.random.Generator) -> tuple:
-        """One outcome (x, density at x) by inverse-CDF lookup of one
-        uniform draw."""
-        x = float(np.interp(rng.random() * self.cum[-1], self.cum, self.x))
+        """One outcome (x, density at x): the quantile of one uniform."""
+        x = float(self.quantile(rng.random()))
         return x, float(np.interp(x, self.x, self.pdf))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from itertools import chain
 
 import numpy as np
 
@@ -152,19 +151,3 @@ def map_chunks(fn, ranges, consume, threads: int | None = None) -> None:
     with ctx.Pool(processes=min(threads, len(ranges))) as pool:
         for part in pool.imap(fn, ranges):
             consume(part)
-
-
-def run_chunked(fn, n: int, chunk_size: int = DEFAULT_CHUNK,
-                threads: int | None = None) -> dict:
-    """The columns of ``fn`` over the chunks of range(n), in trial order.
-
-    ``fn`` maps a (start, stop) range to a dict from column name to one
-    value per trial, as a float array or a list of Python values; each
-    column is joined across chunks in the array's or the list's kind.
-    """
-    parts = []
-    map_chunks(fn, chunk_ranges(n, chunk_size), parts.append, threads)
-    return {key: (np.concatenate([p[key] for p in parts])
-                  if isinstance(column, np.ndarray)
-                  else list(chain.from_iterable(p[key] for p in parts)))
-            for key, column in parts[0].items()}

@@ -48,7 +48,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .fock import APM_OCCUPATION_TOL, OverOccupiedError, PureState
-from .runner import DEFAULT_CHUNK, lane_rngs, run_chunked
+from .runner import DEFAULT_CHUNK, chunk_ranges, lane_rngs, map_chunks
 
 EPS_END = 1e-6
 
@@ -109,11 +109,12 @@ class PulseShape:
 def make_pulse(shape: str, dt: float = 1e-4) -> PulseShape:
     """Sample a named envelope on a step-dt grid over [0, 1].
 
-    ``shape`` is one of "flat", "raised-cosine", or "expdecay:RATE"
-    (e.g. "expdecay:4"); the envelope is renormalized so that the
-    left-Riemann cumulative sum reaches exactly 1 at t = 1.  Steps whose
-    end-of-step cumulative exceeds 1 - EPS_END are dropped, keeping the
-    decay rate finite and gamma_k dt < 1 everywhere.
+    ``shape`` is exactly one of "flat", "raised-cosine", "expdecay" (rate
+    4) or "expdecay:RATE" (e.g. "expdecay:2.5"); the envelope is
+    renormalized so that the left-Riemann cumulative sum reaches exactly
+    1 at t = 1.  Steps whose end-of-step cumulative exceeds 1 - EPS_END
+    are dropped, keeping the decay rate finite and gamma_k dt < 1
+    everywhere.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -122,14 +123,14 @@ def make_pulse(shape: str, dt: float = 1e-4) -> PulseShape:
         raise ValueError("grid must have at least two steps")
     t = np.arange(n_total) * dt
     kind = shape.strip().lower()
+    name, colon, arg = kind.partition(":")
     if kind == "flat":
         u = np.ones_like(t)
     elif kind in ("raised-cosine", "raised_cosine"):
         u = 1.0 - np.cos(2.0 * math.pi * t)
         kind = "raised-cosine"
-    elif kind.startswith("expdecay"):
-        _, _, arg = kind.partition(":")
-        rate = float(arg) if arg else 4.0
+    elif name == "expdecay":
+        rate = float(arg) if colon else 4.0
         if not (math.isfinite(rate) and rate > 0):
             raise ValueError(f"expdecay rate must be finite and positive, got {rate:g}")
         u = rate * np.exp(-rate * t)
@@ -229,6 +230,8 @@ class _LaneNoise:
     of steps at a time: ``noise[:, k0:k1]`` returns the next block, whose
     row i continues ``standard_normal`` on the i-th of ``rngs``.  Drawn in
     blocks, a stream gives the same values as one draw of all n_steps.
+    It is the kernel's one source of noise, for an ensemble chunk's lanes
+    and for the one lane of :func:`simulate_dyne` alike.
 
     Blocks must be read in order, each starting where the last ended.  A
     block reuses the buffer of the last one when it fits, so it is valid
@@ -365,10 +368,10 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
     lane with no loop delay, the phase measurement of a protocol trial,
     runs the same operations on Python floats (:func:`_one_kraus_lane`)
     on the whole lane, read as one block.  The columns are those of
-    :func:`_finish`, plus the per-step ``phases``, ``i_dt`` and ``j_dt``,
-    shape (batch, n_steps), under ``keep_series``.  A loop delay of the
-    whole pulse or more only ever reads the initial zero phase, so the
-    delay ring is capped there.
+    :func:`_finish`, plus under ``keep_series`` the per-step ``phases``,
+    ``i_dt``, ``j_dt`` and the increments ``dw`` read from ``noise``,
+    shape (batch, n_steps).  A loop delay of the whole pulse or more only
+    ever reads the initial zero phase, so the delay ring is capped there.
     """
     batch = len(noise)
     n_steps = pulse.n_steps
@@ -408,6 +411,7 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
         ser_phi = np.empty((batch, n_steps))
         ser_idt = np.empty((batch, n_steps))
         ser_jdt = np.empty((batch, n_steps))
+        ser_dw = np.empty((batch, n_steps))
     project, step = lanes.project, lanes.step
     cos, sin, multiply, isfinite = np.cos, np.sin, np.multiply, np.isfinite
     block = max(1, NOISE_BLOCK_BYTES // (8 * batch))
@@ -433,6 +437,7 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
                 ser_phi[:, k] = phi
                 ser_idt[:, k] = idt
                 ser_jdt[:, k] = jdt
+                ser_dw[:, k] = dw
             x_sum += idt
             idt *= inv_sqrt_cum[k]
             s_sum += idt
@@ -442,7 +447,7 @@ def _evolve(a0: np.ndarray, noise: np.ndarray, pulse: PulseShape,
 
     out = _finish(lanes, s_sum, x_sum, n_steps)
     if keep_series:
-        out.update(phases=ser_phi, i_dt=ser_idt, j_dt=ser_jdt)
+        out.update(phases=ser_phi, i_dt=ser_idt, j_dt=ser_jdt, dw=ser_dw)
     return out
 
 
@@ -512,21 +517,19 @@ def simulate_dyne(state: PureState, mode: int, pulse: PulseShape,
     :func:`run_dyne_ensemble` for one lane, each with its lane axis:
     ``theta``, ``x`` and ``residual_weight``, shape (1,), plus under
     ``keep_series`` the per-step ``phases``, ``i_dt``, ``j_dt`` and the
-    Wiener increments ``dw``, shape (1, n_steps).  The posterior is the
-    normalized state of the remaining modes after the measured mode's
-    truncated-tail excitation is projected onto vacuum (the discarded
-    weight is ``residual_weight``).  Raises ``OverOccupiedError`` if
-    ``mode`` holds two or more photons.
+    Wiener increments ``dw``, shape (1, n_steps).  The lane draws its
+    noise from ``rng`` as an ensemble lane does (:class:`_LaneNoise`).
+    The posterior is the normalized state of the remaining modes after
+    the measured mode's truncated-tail excitation is projected onto
+    vacuum (the discarded weight is ``residual_weight``).  Raises
+    ``OverOccupiedError`` if ``mode`` holds two or more photons.
     """
     a0, rest_occs = _reduce_measured_mode(state, mode)
     _warn_on_long_loop_delay(policy, pulse)
-    noise = (rng.standard_normal(pulse.n_steps) * math.sqrt(pulse.dt))[None]
-    cols = _evolve(a0[None, :, :], noise, pulse, policy,
+    cols = _evolve(a0[None, :, :], _LaneNoise([rng], pulse), pulse, policy,
                    keep_series=keep_series)
     posterior_amps = dict(zip(rest_occs, cols.pop("a_final")[0, 0, :]))
     posterior = PureState(state.n_modes - 1, posterior_amps).normalized()
-    if keep_series:
-        cols["dw"] = noise
     return cols, posterior
 
 
@@ -576,6 +579,8 @@ def run_dyne_ensemble(state: PureState, mode: int, pulse: PulseShape,
     """
     a0, _ = _reduce_measured_mode(state, mode)
     _warn_on_long_loop_delay(policy, pulse)
-    return run_chunked(partial(_ensemble_chunk, a0=a0, pulse=pulse,
-                               policy=policy, master_seed=master_seed),
-                       n_trials, chunk_size, threads)
+    parts = []
+    map_chunks(partial(_ensemble_chunk, a0=a0, pulse=pulse, policy=policy,
+                       master_seed=master_seed),
+               chunk_ranges(n_trials, chunk_size), parts.append, threads)
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}

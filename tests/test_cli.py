@@ -131,6 +131,13 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert main(["sample", "apm", "--n", "0"]) == 2
     assert main(["trajectory", "--policy", "homodyne", "--delay", "0.1"]) == 2
     assert main(["trajectory", "--pulse", "square"]) == 2
+    # pulse and policy names match exactly, never by prefix
+    capsys.readouterr()
+    for argv in (["--pulse", "expdecay8"], ["--pulse", "expdecayXYZ"],
+                 ["--policy", "homodyne0.3"], ["--policy", "heterodyneX"]):
+        assert main(["trajectory", *argv]) == 2, argv
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[0] for line in lines] == ["railsim:"] * 4
     # a loop delay exists only where a trajectory runs the adaptive policy
     for argv in (["sample", "homodyne"],
                  ["sample", "homodyne", "--backend", "trajectory"],

@@ -85,3 +85,16 @@ def test_no_unused_imports():
                    for p in (ROOT / d).rglob("*.py"))
     assert files
     assert [u for p in files for u in unused_imports(p)] == []
+
+
+
+def test_only_the_lane_noise_source_draws_wiener_increments():
+    # One routine turns a generator into dyne increments dW: src/ reads
+    # standard_normal only inside trajectory._LaneNoise.
+    owners = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.Attribute)
+                   and node.attr == "standard_normal" for node in ast.walk(top)):
+                owners.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert owners == {"trajectory._LaneNoise"}

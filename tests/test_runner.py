@@ -1,12 +1,11 @@
 """Per-trial seeding against trial_rng, and chunks handed over in order."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railsim.runner import (chunk_ranges, lane_rngs, map_chunks,
-                            run_chunked, trial_rng, trial_rngs)
+from railsim.runner import (chunk_ranges, lane_rngs, map_chunks, trial_rng,
+                            trial_rngs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -33,24 +32,6 @@ def test_trial_rngs_reproduce_trial_rng(seed, start, n):
         for one, held_one, want in zip(got, lane, (rng.random(3),
                                                    rng.standard_normal(5))):
             assert np.array_equal(one, want) and np.array_equal(held_one, want)
-
-
-def _columns(bounds):
-    """A chunk worker's columns: a float array and a list of lists."""
-    return {"value": np.sqrt(np.arange(*bounds, dtype=float)),
-            "counts": [[i, i % 3] for i in range(*bounds)]}
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("chunk_size", [1, 3, 10])
-def test_run_chunked_joins_columns_in_trial_order(chunk_size, threads):
-    want = _columns((0, 10))
-    got = run_chunked(_columns, 10, chunk_size, threads)
-    assert list(got) == list(want)
-    assert got["value"].dtype == want["value"].dtype
-    assert np.array_equal(got["value"], want["value"])
-    assert type(got["counts"]) is list
-    assert got["counts"] == want["counts"]
 
 
 def test_map_chunks_consumes_each_chunk_before_the_next_runs():
