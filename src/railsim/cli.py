@@ -4,19 +4,19 @@ Runs are configured by flags, optionally seeded from a JSON file given
 with --config (flags override the file).  Trial i draws its randomness
 from (master seed, i), so per-trial records are byte-identical no
 matter how many workers run them.  Each command prints a summary JSON
-on standard output that validates against the packaged
-schemas/summary.json; per-trial records go to --jsonl as one JSON
-object per line, written chunk by chunk as the chunks arrive.
+on standard output; the packaged schemas/summary.json is its documented
+contract, which the tests check.  Per-trial records go to --jsonl as
+one JSON object per line, written chunk by chunk as the chunks arrive.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 runtime
-error.
+error.  A summary holding a non-finite number, which JSON cannot
+encode, is a runtime error; it leaves no --jsonl or --summary file.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.resources
 import json
 import math
 import os
@@ -24,7 +24,6 @@ import sys
 from collections import Counter
 from functools import partial
 
-import jsonschema
 import numpy as np
 
 from .fock import (OverOccupiedError, PureState, TruncationError,
@@ -139,29 +138,16 @@ def parse_policy(spec: str, loop_delay: float) -> FeedbackPolicy:
     if loop_delay:
         raise ConfigError("--delay applies to the adaptive policy only")
     name, colon, arg = key.partition(":")
-    if name == "homodyne":
-        return FeedbackPolicy.homodyne(finite_float(arg) if colon else 0.0)
-    if name == "heterodyne":
-        return FeedbackPolicy.heterodyne(finite_float(arg) if colon else 50.0)
-    raise ConfigError(f"unknown policy {spec!r}")
-
-
-def _load_schema() -> dict:
-    path = importlib.resources.files("railsim").joinpath("schemas/summary.json")
-    return json.loads(path.read_text())
-
-
-def _emit(command: str, config: dict, results: dict, args) -> int:
-    summary = {"schema_version": SCHEMA_VERSION, "command": command,
-               "config": config, "results": results}
-    # The packaged schema is checked by the tests, not on every run.
-    jsonschema.Draft202012Validator(_load_schema()).validate(summary)
-    text = json.dumps(summary, sort_keys=True, indent=2)
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return 0
+    grammar = {"homodyne": ("PHI", 0.0), "heterodyne": ("RAMP", 50.0)}
+    if name not in grammar:
+        raise ConfigError(f"unknown policy {spec!r}")
+    label, default = grammar[name]
+    try:
+        value = finite_float(arg) if colon else default
+    except ValueError:
+        raise ConfigError(f"--policy {name}[:{label}] needs a finite {label}, "
+                          f"got {arg!r}") from None
+    return getattr(FeedbackPolicy, name)(value)
 
 
 @contextlib.contextmanager
@@ -205,17 +191,16 @@ def _jsonl_writer(path: str | None, numbered: bool):
         os.replace(tmp, path)
 
 
-def _stream(fn, n, chunk_size, threads, path, fold, numbered=False) -> None:
+def _stream(fn, n, chunk_size, threads, write, fold) -> None:
     """Run ``fn`` over the chunks of range(n).  Each chunk's columns are
-    written to the JSONL at ``path`` as they arrive, in trial order, and
-    then handed to ``fold``, which keeps what the summary reads; the
-    chunk is dropped after that."""
-    with _jsonl_writer(path, numbered) as write:
-        def consume(cols):
-            write(cols)
-            fold(cols)
+    handed to ``write`` as they arrive, in trial order, and then to
+    ``fold``, which keeps what the summary reads; the chunk is dropped
+    after that."""
+    def consume(cols):
+        write(cols)
+        fold(cols)
 
-        map_chunks(fn, chunk_ranges(n, chunk_size), consume, threads)
+    map_chunks(fn, chunk_ranges(n, chunk_size), consume, threads)
 
 
 def _histogram(values, edges) -> dict:
@@ -254,7 +239,7 @@ def _protocol_chunk(bounds, protocol, apm, seed, **target):
     return {key: [r[key] for r in records] for key in records[0]}
 
 
-def _protocol_results(protocol, apm, seed, n, threads, path, **target) -> dict:
+def _protocol_results(protocol, apm, seed, n, threads, write, **target) -> dict:
     """Run a prep or gate command's trials, streaming their records to the
     JSONL, and return its summary results.  Each chunk is folded into the
     success and collapse counts, the Bell-count outcomes and the
@@ -270,7 +255,7 @@ def _protocol_results(protocol, apm, seed, n, threads, path, **target) -> dict:
                              dtype=float))
 
     _stream(partial(_protocol_chunk, protocol=protocol, apm=apm, seed=seed,
-                    **target), n, PROTOCOL_CHUNK, threads, path, fold)
+                    **target), n, PROTOCOL_CHUNK, threads, write, fold)
     fids = np.concatenate(fids)
     results = {"n_trials": n, "success_rate": sum(successes) / n}
     if protocol == "gate":
@@ -316,16 +301,15 @@ def cmd_sample(args):
             raise ConfigError("count sampling has no trajectory backend")
         modes = tuple(range(state.n_modes))
 
-        def run_count():
+        def run_count(write):
             by_outcome = Counter()
             _stream(partial(_count_chunk, state=state, modes=modes, seed=seed),
-                    n, SAMPLE_CHUNK, threads, args.jsonl,
+                    n, SAMPLE_CHUNK, threads, write,
                     lambda cols: by_outcome.update(
-                        ",".join(map(str, c)) for c in cols["counts"]),
-                    numbered=True)
+                        ",".join(map(str, c)) for c in cols["counts"]))
             results = {"n_trials": n,
                        "counts_by_outcome": dict(sorted(by_outcome.items()))}
-            return _emit("sample-count", config, results, args)
+            return "sample-count", config, results
 
         return run_count
 
@@ -351,25 +335,24 @@ def cmd_sample(args):
         else:
             policy = FeedbackPolicy.homodyne(phi)
 
-    def run():
+    def run(write):
         if backend == "analytic":
             parts = []
             _stream(partial(_draw_chunk, density=density, key=key, seed=seed),
-                    n, SAMPLE_CHUNK, threads, args.jsonl,
-                    lambda cols: parts.append(cols[key]), numbered=True)
+                    n, SAMPLE_CHUNK, threads, write,
+                    lambda cols: parts.append(cols[key]))
             values = np.concatenate(parts)
         else:
             values = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
                                        threads=threads)[key]
-            with _jsonl_writer(args.jsonl, numbered=True) as write:
-                write({key: values, "density": density(values)})
+            write({key: values, "density": density(values)})
         results = {"n_trials": n,
                    f"ks_{key}": float(ks_statistic(values, density.cdf)),
                    "histogram": _histogram(values, edges)}
         if kind == "homodyne" and n >= 400:
             results["chi2_p"] = float(chi2_gof_pvalue(values, density.quantile))
         results.update(_moments(values))
-        return _emit(f"sample-{kind}", config, results, args)
+        return f"sample-{kind}", config, results
 
     return run
 
@@ -390,10 +373,9 @@ def cmd_prep(args):
     config = {"alpha": spec.alpha, "phi": spec.phi, "n": n, "seed": seed}
     apm = _protocol_apm(args, config)
 
-    def run():
-        results = _protocol_results("prepare", apm, seed, n, threads,
-                                    args.jsonl, spec=spec)
-        return _emit("prep", config, results, args)
+    def run(write):
+        return "prep", config, _protocol_results("prepare", apm, seed, n,
+                                                 threads, write, spec=spec)
 
     return run
 
@@ -406,10 +388,9 @@ def cmd_gate(args):
               "n": n, "seed": seed}
     apm = _protocol_apm(args, config)
 
-    def run():
-        results = _protocol_results("gate", apm, seed, n, threads, args.jsonl,
-                                    qubit=(c0, c1), u=u)
-        return _emit("gate", config, results, args)
+    def run(write):
+        return "gate", config, _protocol_results("gate", apm, seed, n, threads,
+                                                 write, qubit=(c0, c1), u=u)
 
     return run
 
@@ -428,12 +409,11 @@ def cmd_trajectory(args):
     adaptive = policy.kind == "adaptive"
     density = apm_density(state, mode) if adaptive else None
 
-    def run():
+    def run(write):
         cols = run_dyne_ensemble(state, mode, pulse, policy, seed, n,
                                  threads=threads)
         fidelity = cols.pop("fidelity", None)
-        with _jsonl_writer(args.jsonl, numbered=True) as write:
-            write(cols)
+        write(cols)
         results = {"n_trials": n,
                    "mean_residual_weight": float(cols["residual_weight"].mean())}
         results.update(_moments(cols["x"]))
@@ -453,7 +433,7 @@ def cmd_trajectory(args):
                                      series["dw"][0]])
             np.savetxt(args.full_record, table, delimiter=",",
                        header="t,phi,i,j,dw", comments="")
-        return _emit("trajectory", config, results, args)
+        return "trajectory", config, results
 
     return run
 
@@ -563,6 +543,7 @@ def _config_value(action: argparse.Action, value):
     return value
 
 
+# Each handler returns its run: write -> (command, config, results).
 HANDLERS = {"sample": cmd_sample, "prep": cmd_prep, "gate": cmd_gate,
             "trajectory": cmd_trajectory}
 
@@ -581,7 +562,20 @@ def main(argv=None) -> int:
         print(f"railsim: {exc}", file=sys.stderr)
         return 2
     try:
-        return plan()
+        # Protocol records carry their own trial index.
+        with _jsonl_writer(args.jsonl,
+                           numbered=args.cmd not in ("prep", "gate")) as write:
+            command, config, results = plan(write)
+            # Inside the writer: a NaN, which is not JSON, leaves no file.
+            text = json.dumps({"schema_version": SCHEMA_VERSION,
+                               "command": command, "config": config,
+                               "results": results},
+                              sort_keys=True, indent=2, allow_nan=False)
+        if args.summary:
+            with open(args.summary, "w") as fh:
+                fh.write(text + "\n")
+        print(text)
+        return 0
     except (OverOccupiedError, TruncationError, TrajectoryDivergedError,
             ValueError, ArithmeticError, RuntimeError, OSError,
             MemoryError) as exc:

@@ -11,7 +11,6 @@ environment variable (default 1) and must never affect output values.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 import numpy as np
@@ -145,6 +144,7 @@ def map_chunks(fn, ranges, consume, threads: int | None = None) -> None:
         for bounds in ranges:
             consume(fn(bounds))
         return
+    import multiprocessing  # here: only a pooled run pays for the import
     # Fork keeps startup cheap and inherits loaded modules; Pool.imap
     # yields results in input order as they complete.
     ctx = multiprocessing.get_context("fork")

@@ -130,9 +130,13 @@ def make_pulse(shape: str, dt: float = 1e-4) -> PulseShape:
         u = 1.0 - np.cos(2.0 * math.pi * t)
         kind = "raised-cosine"
     elif name == "expdecay":
-        rate = float(arg) if colon else 4.0
+        try:
+            rate = float(arg) if colon else 4.0
+        except ValueError:
+            rate = math.nan
         if not (math.isfinite(rate) and rate > 0):
-            raise ValueError(f"expdecay rate must be finite and positive, got {rate:g}")
+            raise ValueError("--pulse expdecay:RATE needs a finite and positive "
+                             f"RATE, got {arg!r}")
         u = rate * np.exp(-rate * t)
         kind = f"expdecay:{rate:g}"
     else:

@@ -14,7 +14,6 @@ import warnings
 from functools import partial
 from pathlib import Path
 
-import importlib.resources
 import jsonschema
 import numpy as np
 import pytest
@@ -37,6 +36,7 @@ from railsim.trajectory import make_pulse
 
 import dict_ops
 from state_lanes import wiener_increments
+from summary_schema import load_schema, validate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,16 +47,9 @@ def run_main(capsys, argv):
     return rc, (json.loads(out) if rc == 0 else None)
 
 
-def validate(summary):
-    schema = json.loads(importlib.resources.files("railsim")
-                        .joinpath("schemas/summary.json").read_text())
-    jsonschema.validate(summary, schema,
-                        cls=jsonschema.Draft202012Validator)
-
-
 def test_packaged_summary_schema_is_valid():
-    # the CLI validates summaries against it without checking it first
-    jsonschema.Draft202012Validator.check_schema(cli._load_schema())
+    # the tests validate summaries against it without checking it first
+    jsonschema.Draft202012Validator.check_schema(load_schema())
 
 
 # ---- parsing helpers ----
@@ -138,6 +131,15 @@ def test_config_errors_exit_2(capsys, tmp_path):
         assert main(["trajectory", *argv]) == 2, argv
     lines = capsys.readouterr().err.splitlines()
     assert [line.split()[0] for line in lines] == ["railsim:"] * 4
+    # an empty number after the colon is named by its flag and grammar
+    for argv, grammar in ((["--pulse", "expdecay:"], "--pulse expdecay:RATE"),
+                          (["--policy", "homodyne:"], "--policy homodyne[:PHI]"),
+                          (["--policy", "heterodyne:"],
+                           "--policy heterodyne[:RAMP]")):
+        assert main(["trajectory", *argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"railsim: {grammar} needs a finite"), err
+        assert err.endswith(", got ''\n") and err.count("\n") == 1, err
     # a loop delay exists only where a trajectory runs the adaptive policy
     for argv in (["sample", "homodyne"],
                  ["sample", "homodyne", "--backend", "trajectory"],
@@ -524,6 +526,24 @@ def test_failed_run_leaves_no_jsonl(command, threads, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["sample apm", "trajectory"])
+def test_non_finite_summary_exits_3_and_leaves_no_file(command, capsys,
+                                                      monkeypatch, tmp_path):
+    # JSON has no NaN, so the summary is refused, before the JSONL
+    # replaces its target and before --summary is written.
+    moments = cli._moments
+    monkeypatch.setattr(cli, "_moments",
+                        lambda values: {**moments(values), "variance": math.nan})
+    argv = _JSONL_ARGV[command] + ["--n", "8",
+                                   "--jsonl", str(tmp_path / "records.jsonl"),
+                                   "--summary", str(tmp_path / "summary.json")]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("railsim: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_jsonl_to_a_pipe_is_written_in_place(capsys, tmp_path):
     # A pipe cannot be replaced by a finished temporary file, so its
     # records go straight to it and nothing is left beside it.
@@ -828,11 +848,12 @@ def test_trajectory_protocol_outputs_identical_across_worker_counts(
     assert blobs[1] == blobs[2]
 
 
-def test_cli_import_does_not_load_scipy():
-    # a child process: this one has scipy loaded by the test suite
+def test_cli_import_loads_no_test_or_pool_module():
+    # A child process, as this one has them loaded.  scipy and jsonschema
+    # are test dependencies; multiprocessing only a pooled run imports.
     probe = ("import sys, railsim, railsim.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('scipy', 'jsonschema', 'multiprocessing')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Golden outputs: every case of the corpus in tests/golden, run
 in-process through ``cli.main``, against its stored stdout summary,
-JSONL and CSV.
+JSONL and CSV.  Every stdout summary must also validate against the
+packaged schema.
 
 Where this environment matches the manifest's (numpy version, libc and
 machine), the bytes must be equal.  Elsewhere numpy's SIMD paths or
@@ -20,6 +21,7 @@ import pytest
 from railsim import cli
 
 from golden.regen import environment, parse, run_case
+from summary_schema import validate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -52,6 +54,7 @@ def test_golden_output(name, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "SAMPLE_CHUNK", 16)
     monkeypatch.setattr(cli, "PROTOCOL_CHUNK", 16)
     got = run_case(MANIFEST["cases"][name], tmp_path)
+    validate(json.loads(got["stdout"]))
     want = {suffix: (GOLDEN / f"{name}.{suffix}").read_text() for suffix in got}
     if EXACT:
         for suffix in want:
